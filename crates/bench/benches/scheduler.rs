@@ -11,10 +11,9 @@
 //!   attached, bounding the trace oracle's overhead when it is *on* (when
 //!   off it costs nothing — `event/*` is the regression gate for that);
 //! * `scheduler/event-ckpt/*` — scratch-recycled with mid-run
-//!   checkpointing: bounded slices with tapes trimmed and the full core
-//!   state encoded at every boundary, bounding the snapshot tax a
-//!   checkpointing sweep pays over `event-scratch/*` (the store write is
-//!   benched with the store);
+//!   checkpointing: bounded slices with the full core state encoded at
+//!   every boundary, bounding the snapshot tax a checkpointing sweep pays
+//!   over `event-scratch/*` (the store write is benched with the store);
 //! * `scheduler/event/smt2`, `scheduler/event-scratch/smt2` — SMT2
 //!   pairings over the subset, the configuration the parity-free frontend
 //!   PR opened to the idle-cycle fast-forward (Fig 14's cost center).
@@ -88,8 +87,8 @@ fn run_subset_with_scratch(
 /// one to two snapshots per quick-length workload.
 const CKPT_INTERVAL: u64 = 1 << 16;
 
-/// The subset run with mid-run checkpointing: bounded slices, tapes
-/// trimmed and the full state encoded at every boundary (the store write
+/// The subset run with mid-run checkpointing: bounded slices with the
+/// full state encoded at every boundary (the store write
 /// is benched with the store; this row isolates the encode cost riding on
 /// the scheduler's hot path).
 fn run_subset_checkpointed(
@@ -103,7 +102,6 @@ fn run_subset_checkpointed(
         let program = spec.build();
         let mut core = Core::new_multi_with_scratch(vec![&program], cfg.clone(), scratch);
         while core.run_slice(QUICK, CKPT_INTERVAL) {
-            core.trim_tapes();
             std::hint::black_box(core.checkpoint());
         }
         let r = core.seal_result();

@@ -166,9 +166,6 @@ pub fn run_checkpointed(
         if !core.run_slice(target, ckpt.interval) {
             break core.seal_result();
         }
-        // Drop consumed tape records before encoding so checkpoint size
-        // tracks live state, not run length.
-        core.trim_tapes();
         ckpt.save(&core.checkpoint());
         if !resumed && ckpt.kill_at == Some(boundary) {
             panic!("chaos: injected kill at checkpoint boundary {boundary}");

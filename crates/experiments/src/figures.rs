@@ -1,8 +1,8 @@
 //! One reproduction function per paper table/figure.
 //!
 //! Every function renders the same rows/series the paper reports, so the
-//! output can be laid side by side with the publication. `EXPERIMENTS.md`
-//! records paper-vs-measured for each.
+//! output can be laid side by side with the publication. The repository's
+//! `ROADMAP.md` records the current paper-vs-measured fidelity numbers.
 //!
 //! All simulations are drawn from the figure's [`SweepSession`]: programs,
 //! load-inspector reports, and completed runs are memoized there, so
@@ -397,8 +397,8 @@ pub fn fig14(session: &SweepSession<'_>) -> Result<String, CellFailure> {
         MachineKind::Constable,
         MachineKind::EvesConstable,
     ];
-    // All four pairings in one grid call: per pair, the baseline and the
-    // three machines run as one lockstep batch off shared record tapes.
+    // All four pairings in one grid call, so every (pair × machine) cell
+    // reaches the pool as one flat job list.
     let mks: Vec<Box<MkPairConfig<'_>>> = std::iter::once(MachineKind::Baseline)
         .chain(kinds)
         .map(|k| {
@@ -711,8 +711,8 @@ pub fn fig20a(session: &SweepSession<'_>) -> Result<String, CellFailure> {
         String::from("Fig 20(a): load execution width sweep (speedup vs 3-wide baseline)\n");
     let mut t = Table::new(["load width", "baseline system", "constable"]);
     let widths = [3u32, 4, 5, 6];
-    // The whole 4×2 sensitivity grid in one call: per workload, all eight
-    // configs run as one lockstep batch off a shared record tape.
+    // The whole 4×2 sensitivity grid in one call, so all eight configs of
+    // every workload reach the pool as one flat job list.
     let mut mks: Vec<Box<MkOracleConfig<'_>>> = Vec::new();
     for &width in &widths {
         for kind in [MachineKind::Baseline, MachineKind::Constable] {

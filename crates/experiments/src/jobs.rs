@@ -6,25 +6,26 @@
 //! share: a [`CellSpec`] names one (workload, machine) cell the way the
 //! `cell` subcommand and the quarantine repro lines do, [`figure_kinds`]
 //! expands a figure id into the machine suites it sweeps, and a
-//! [`JobContext`] executes a single cell with a caller-provided scratch —
-//! memoizing program builds and load-inspector analyses exactly like a
-//! [`crate::SweepSession`], but leaving scheduling (queues, shards,
-//! deadlines, retries) entirely to the caller.
+//! [`JobContext`] executes a single cell with a caller-provided scratch
+//! through the sweep's own cell runner — memoizing program builds and
+//! load-inspector analyses exactly like a [`crate::SweepSession`], but
+//! leaving scheduling (queues, shards, deadlines, retries) entirely to the
+//! caller.
 //!
 //! Cell identity is the **stable store key** ([`crate::persist::store_key`])
 //! — the same key the persistent result store files the cell under — so a
 //! server can dedupe in-flight work and answer repeats from the store with
 //! no key-translation layer.
 
-use crate::ckpt::{self, Checkpointer};
+use crate::ckpt::Checkpointer;
 use crate::configs::MachineKind;
 use crate::fault::{CellFailure, CellOutcome};
 use crate::persist;
-use crate::runner::{RunLength, RunOutcome, WATCHDOG_BUDGET};
+use crate::runner::RunLength;
 use constable::IdealOracle;
 use load_inspector::LoadReport;
 use result_store::StoreKey;
-use sim_core::{Core, CoreConfig, SimScratch};
+use sim_core::{CoreConfig, SimScratch};
 use sim_workload::{Program, WorkloadSpec};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -217,9 +218,9 @@ impl JobContext {
     }
 
     /// Runs one cell to completion on the caller's scratch, under the
-    /// standard [`WATCHDOG_BUDGET`] and an optional wall-clock `deadline`
-    /// (an expired deadline aborts the run cleanly with failure kind
-    /// `"deadline"`). Panics propagate to the caller — a supervised worker
+    /// standard [`crate::WATCHDOG_BUDGET`] and an optional wall-clock
+    /// `deadline` (an expired deadline aborts the run cleanly with failure
+    /// kind `"deadline"`). Panics propagate to the caller — a supervised worker
     /// shard treats an escaping panic as its restart signal.
     pub fn run_cell(
         &self,
@@ -256,45 +257,23 @@ impl JobContext {
                 false,
             );
         };
-        let mut cfg = self.config_for(cell, &indices);
+        let cfg = self.config_for(cell, &indices);
         let fp = cfg.fingerprint();
-        cfg.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
-        let programs: Vec<Arc<Program>> = indices.iter().map(|&i| self.program(i)).collect();
-        let per_thread = self.n.0 / programs.len() as u64;
+        let built: Vec<Arc<Program>> = indices.iter().map(|&i| self.program(i)).collect();
+        let programs: Vec<&Program> = built.iter().map(Arc::as_ref).collect();
         let category = self.specs[indices[0]].category;
-
-        let s = std::mem::take(scratch);
-        let (result, resumed) = if let Some(ckpt) = ckpt {
-            let refs: Vec<&Program> = programs.iter().map(|p| p.as_ref()).collect();
-            let (result, s, resumed) =
-                ckpt::run_checkpointed(&refs, &cfg, s, per_thread, ckpt, deadline);
-            *scratch = s;
-            (result, resumed)
-        } else {
-            let mut core =
-                Core::new_multi_with_scratch(programs.iter().map(|p| p.as_ref()).collect(), cfg, s);
-            if let Some(at) = deadline {
-                core.set_deadline(at);
-            }
-            let result = core.run(per_thread);
-            *scratch = core.into_scratch();
-            (result, false)
-        };
-        let outcome = match result.verify() {
-            Ok(()) => Ok(RunOutcome {
-                workload: cell.workload.clone(),
-                category,
-                result,
-            }),
-            Err(e) => Err(CellFailure::from_error(
-                &cell.workload,
-                fp,
-                self.n,
-                &e,
-                false,
-            )),
-        };
-        (outcome, resumed)
+        crate::sweep::run_cell(
+            &programs,
+            &cell.workload,
+            category,
+            cfg,
+            self.n,
+            fp,
+            None,
+            ckpt,
+            deadline,
+            scratch,
+        )
     }
 }
 

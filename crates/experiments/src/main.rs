@@ -13,9 +13,7 @@
 //! (workload, configuration) simulation — the Baseline suite above all —
 //! is memoized, so `all` costs the union of distinct runs, not the sum of
 //! per-figure suites. Pass `--uncached` to bypass the session caches (the
-//! pre-memoization behavior, useful for A/B timing), or `--no-batch` to
-//! keep the caches but run every missing cell scalar instead of in
-//! config-lockstep batches (byte-identical either way).
+//! pre-memoization behavior, useful for A/B timing).
 //!
 //! ## Persistent store
 //!
@@ -36,9 +34,10 @@
 //! multi-figure invocations; `--fail-fast` stops at the first quarantined
 //! figure), and the binary ends with a quarantine table of per-cell
 //! diagnostics bundles. Exit codes: 0 all clean, 2 quarantined cells,
-//! 3 at least one watchdog abort. `--chaos <seed>` (or `SIM_CHAOS=<seed>`)
-//! deterministically injects worker panics, pipeline wedges, and digest
-//! corruption — the self-test of the quarantine machinery.
+//! 3 at least one watchdog abort, 64 a malformed command line (usage on
+//! stderr). `--chaos <seed>` (or `SIM_CHAOS=<seed>`) deterministically
+//! injects worker panics, pipeline wedges, and digest corruption — the
+//! self-test of the quarantine machinery.
 //!
 //! The `cell` subcommand reruns one (workload, machine) cell in isolation
 //! with full forensics — the repro vehicle the quarantine table points at.
@@ -47,6 +46,47 @@ use experiments::{
     try_run_figure, ChaosPlan, MachineKind, RunLength, SweepSession, FIGURES, WATCHDOG_BUDGET,
 };
 use sim_core::{Core, TraceRecorder};
+use std::num::NonZeroU64;
+
+/// Exit code of a malformed command line (BSD `EX_USAGE`), distinct from
+/// the sweep's 2/3 quarantine codes.
+const EX_USAGE: i32 = 64;
+
+const USAGE: &str = "usage: experiments -- <figure-id>|all [--quick] [--subset N] [--uncached] \
+     [--keep-going|--fail-fast] [--chaos <seed>] [--store-dir <path>] [--io-chaos <seed>] \
+     [--ckpt-interval <iters>]
+       experiments -- cell <workload> <machine-slug> [--depth-scale X] [--quick|--len N]
+       experiments -- client <addr> cell <workload> <slug> | figure <id> | sweep | ping \
+     | shutdown [--deadline-ms N] [--attempts N] [--quiet]
+       experiments -- list";
+
+const CELL_USAGE: &str =
+    "usage: experiments -- cell <workload> <machine-slug> [--depth-scale X] [--quick|--len N]";
+
+const CLIENT_USAGE: &str = "usage: experiments -- client <addr> cell <workload> <slug> | \
+     figure <id> | sweep | ping | shutdown [--deadline-ms N] [--attempts N] [--quiet]";
+
+/// Prints `msg` (when non-empty) and `usage` to stderr and exits with
+/// [`EX_USAGE`].
+fn usage_error(msg: &str, usage: &str) -> ! {
+    if !msg.is_empty() {
+        eprintln!("{msg}");
+    }
+    eprintln!("{usage}");
+    std::process::exit(EX_USAGE);
+}
+
+/// Advances `*i` past flag `args[*i]` and parses the value that follows
+/// it; a missing or malformed value is a usage error naming `what` the
+/// flag requires.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str, usage: &str) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    match args.get(*i).map(|v| v.parse()) {
+        Some(Ok(v)) => v,
+        _ => usage_error(&format!("{flag} requires {what}"), usage),
+    }
+}
 
 /// Reads an env var holding a u64 seed. A set-but-unparseable value is a
 /// hard usage error, not a silently ignored request: `SIM_CHAOS=oops`
@@ -60,10 +100,7 @@ fn env_seed(var: &str) -> Option<u64> {
     }
     match t.parse() {
         Ok(seed) => Some(seed),
-        Err(_) => {
-            eprintln!("{var}={v:?} is not a u64 seed");
-            std::process::exit(2);
-        }
+        Err(_) => usage_error(&format!("{var}={v:?} is not a u64 seed"), USAGE),
     }
 }
 
@@ -79,7 +116,6 @@ fn main() {
     let mut n = RunLength::full();
     let mut subset: Option<usize> = None;
     let mut uncached = false;
-    let mut no_batch = false;
     let mut keep_going: Option<bool> = None;
     let mut chaos = env_seed("SIM_CHAOS").map(ChaosPlan::new);
     let mut store_dir: Option<String> = std::env::var("SIM_STORE").ok().filter(|s| !s.is_empty());
@@ -90,49 +126,25 @@ fn main() {
         match args[i].as_str() {
             "--quick" => n = RunLength::quick(),
             "--uncached" => uncached = true,
-            "--no-batch" => no_batch = true,
             "--keep-going" => keep_going = Some(true),
             "--fail-fast" => keep_going = Some(false),
             "--store-dir" => {
-                i += 1;
-                store_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .expect("--store-dir requires a directory path"),
-                );
+                store_dir = Some(flag_value(&args, &mut i, "a directory path", USAGE));
             }
-            "--io-chaos" => {
-                i += 1;
-                io_chaos = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--io-chaos requires a u64 seed"),
-                );
-            }
+            "--io-chaos" => io_chaos = Some(flag_value(&args, &mut i, "a u64 seed", USAGE)),
             "--ckpt-interval" => {
-                i += 1;
-                ckpt_interval = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .expect("--ckpt-interval requires a positive loop-iteration count"),
-                );
+                let iv: NonZeroU64 =
+                    flag_value(&args, &mut i, "a positive loop-iteration count", USAGE);
+                ckpt_interval = Some(iv.get());
             }
-            "--subset" => {
-                i += 1;
-                subset = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--subset requires a count"),
-                );
-            }
+            "--subset" => subset = Some(flag_value(&args, &mut i, "a count", USAGE)),
             "--chaos" => {
-                i += 1;
-                let seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--chaos requires a u64 seed");
-                chaos = Some(ChaosPlan::new(seed));
+                chaos = Some(ChaosPlan::new(flag_value(
+                    &args,
+                    &mut i,
+                    "a u64 seed",
+                    USAGE,
+                )));
             }
             "list" => {
                 for f in FIGURES {
@@ -140,45 +152,48 @@ fn main() {
                 }
                 return;
             }
+            "-h" | "--help" => usage_error("", USAGE),
             "all" | "--all" => ids.extend(FIGURES.iter().map(|s| s.to_string())),
+            other if other.starts_with('-') => {
+                usage_error(&format!("unknown option {other:?}"), USAGE)
+            }
+            other if !FIGURES.contains(&other) => usage_error(
+                &format!("unknown figure id {other:?}; known figure ids: {FIGURES:?}"),
+                USAGE,
+            ),
             other => ids.push(other.to_string()),
         }
         i += 1;
     }
     if ids.is_empty() {
-        eprintln!(
-            "usage: experiments -- <figure-id>|all [--quick] [--subset N] [--uncached] \
-             [--no-batch] [--keep-going|--fail-fast] [--chaos <seed>] [--store-dir <path>] \
-             [--io-chaos <seed>] [--ckpt-interval <iters>]"
-        );
-        eprintln!("       experiments -- cell <workload> <machine-slug> [--depth-scale X] [--quick|--len N]");
-        eprintln!(
-            "       experiments -- client <addr> cell <workload> <slug> | figure <id> | sweep \
-             | ping | shutdown [--deadline-ms N] [--attempts N]"
-        );
-        eprintln!("known figure ids: {FIGURES:?}");
-        std::process::exit(2);
+        usage_error(&format!("known figure ids: {FIGURES:?}"), USAGE);
     }
     // Keep going by default when several figures run: one quarantined cell
     // must not cost the rest of the sweep.
     let keep_going = keep_going.unwrap_or(ids.len() > 1);
     if chaos.is_some() && uncached {
-        eprintln!("--chaos requires the cached (pooled) session; drop --uncached");
-        std::process::exit(2);
+        usage_error(
+            "--chaos requires the cached (pooled) session; drop --uncached",
+            USAGE,
+        );
     }
     if store_dir.is_some() && uncached {
-        eprintln!("--store-dir requires the cached (pooled) session; drop --uncached");
-        std::process::exit(2);
+        usage_error(
+            "--store-dir requires the cached (pooled) session; drop --uncached",
+            USAGE,
+        );
     }
     if io_chaos.is_some() && store_dir.is_none() {
-        eprintln!("--io-chaos injects storage faults; it requires --store-dir (or SIM_STORE)");
-        std::process::exit(2);
+        usage_error(
+            "--io-chaos injects storage faults; it requires --store-dir (or SIM_STORE)",
+            USAGE,
+        );
     }
     if ckpt_interval.is_some() && store_dir.is_none() {
-        eprintln!(
-            "--ckpt-interval persists mid-run snapshots; it requires --store-dir (or SIM_STORE)"
+        usage_error(
+            "--ckpt-interval persists mid-run snapshots; it requires --store-dir (or SIM_STORE)",
+            USAGE,
         );
-        std::process::exit(2);
     }
     let specs = match subset {
         Some(k) => sim_workload::suite_subset(k),
@@ -189,11 +204,6 @@ fn main() {
     } else {
         SweepSession::new(&specs, n)
     };
-    // `--no-batch` runs every missing cell scalar (the pre-lockstep engine):
-    // the A/B knob behind the batching byte-identity smoke in ci.sh.
-    if no_batch {
-        session = session.without_batching();
-    }
     if let Some(plan) = chaos {
         eprintln!("[chaos mode: seed {}]", plan.seed());
         session = session.with_chaos(plan);
@@ -291,10 +301,8 @@ fn main() {
 /// forensics — config fingerprint, trace-oracle digest line, and the
 /// verification outcome (first-divergence report or frozen watchdog
 /// snapshot on failure). Exit codes match the sweep: 0 clean, 2 failed,
-/// 3 watchdog abort.
+/// 3 watchdog abort, 64 usage error.
 fn run_cell(args: &[String]) -> i32 {
-    let usage =
-        "usage: experiments -- cell <workload> <machine-slug> [--depth-scale X] [--quick|--len N]";
     let (mut workload, mut slug) = (None, None);
     let mut depth = 1.0f64;
     let mut n = RunLength::full();
@@ -303,45 +311,35 @@ fn run_cell(args: &[String]) -> i32 {
         match args[i].as_str() {
             "--quick" => n = RunLength::quick(),
             "--len" => {
-                i += 1;
-                n = RunLength(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--len requires an instruction count"),
-                );
+                n = RunLength(flag_value(args, &mut i, "an instruction count", CELL_USAGE));
             }
-            "--depth-scale" => {
-                i += 1;
-                depth = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--depth-scale requires a number");
-            }
+            "--depth-scale" => depth = flag_value(args, &mut i, "a number", CELL_USAGE),
             other if workload.is_none() => workload = Some(other.to_string()),
             other if slug.is_none() => slug = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument {other:?}\n{usage}");
-                return 2;
-            }
+            other => usage_error(&format!("unexpected argument {other:?}"), CELL_USAGE),
         }
         i += 1;
     }
     let (Some(workload), Some(slug)) = (workload, slug) else {
-        eprintln!("{usage}");
-        return 2;
+        usage_error("", CELL_USAGE);
     };
     let Some(kind) = MachineKind::from_slug(&slug) else {
-        eprintln!("unknown machine slug {slug:?}; known slugs:");
-        for k in MachineKind::ALL {
-            eprintln!("  {}", k.slug());
-        }
-        return 2;
+        let known: Vec<&str> = MachineKind::ALL.iter().map(|k| k.slug()).collect();
+        usage_error(
+            &format!(
+                "unknown machine slug {slug:?}; known slugs: {}",
+                known.join(", ")
+            ),
+            CELL_USAGE,
+        );
     };
     let suite = sim_workload::suite();
     let by_name = |name: &str| {
         suite.iter().find(|s| s.name == name).unwrap_or_else(|| {
-            eprintln!("unknown workload {name:?}; see `sim_workload::suite()` names");
-            std::process::exit(2);
+            usage_error(
+                &format!("unknown workload {name:?}; see `sim_workload::suite()` names"),
+                CELL_USAGE,
+            )
         })
     };
     // An SMT2 pair cell is named "a+b"; a single workload runs one thread.
@@ -471,11 +469,10 @@ fn print_store_provenance(store_key: &result_store::StoreKey, fresh_digest: u64)
 /// ([`experiments::wire`]), retrying through backpressure and wire damage.
 /// Requests: `cell <workload> <slug>`, `figure <id>`, `sweep`, `ping`,
 /// `shutdown`. Exit codes mirror the sweep: 0 every cell clean, 2 failed
-/// cells in the answer, 3 any watchdog/deadline abort, 4 transport gave up.
+/// cells in the answer, 3 any watchdog/deadline abort, 4 transport gave up,
+/// 64 usage error.
 fn run_client(args: &[String]) -> i32 {
     use experiments::wire;
-    let usage = "usage: experiments -- client <addr> cell <workload> <slug> | figure <id> | \
-                 sweep | ping | shutdown [--deadline-ms N] [--attempts N] [--quiet]";
     let mut positional: Vec<String> = Vec::new();
     let mut deadline_ms: u32 = 0;
     let mut attempts: u32 = 10;
@@ -484,27 +481,16 @@ fn run_client(args: &[String]) -> i32 {
     while i < args.len() {
         match args[i].as_str() {
             "--deadline-ms" => {
-                i += 1;
-                deadline_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--deadline-ms requires a millisecond count");
+                deadline_ms = flag_value(args, &mut i, "a millisecond count", CLIENT_USAGE);
             }
-            "--attempts" => {
-                i += 1;
-                attempts = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--attempts requires a count");
-            }
+            "--attempts" => attempts = flag_value(args, &mut i, "a count", CLIENT_USAGE),
             "--quiet" => quiet = true,
             other => positional.push(other.to_string()),
         }
         i += 1;
     }
     let Some((addr, request)) = positional.split_first() else {
-        eprintln!("{usage}");
-        return 2;
+        usage_error("", CLIENT_USAGE);
     };
     let frame = match request {
         [cmd, workload, slug] if cmd == "cell" => wire::Frame::Job {
@@ -541,10 +527,7 @@ fn run_client(args: &[String]) -> i32 {
                 }
             };
         }
-        _ => {
-            eprintln!("{usage}");
-            return 2;
-        }
+        _ => usage_error("", CLIENT_USAGE),
     };
     let started = std::time::Instant::now();
     match wire::run_request(addr, &frame, attempts) {

@@ -13,9 +13,14 @@
 //!   (workload, run-length); Fig 3, Fig 17, Fig 23/24, and every
 //!   oracle-carrying configuration reuse the same [`LoadReport`].
 //! * **Run memo** — completed [`RunOutcome`]s are keyed by
-//!   `(workload, CoreConfig::fingerprint)`. The Baseline suite is simulated
-//!   exactly once no matter how many figures ask for it; `--all` shares
-//!   Constable/EVES runs across fig11/fig12/fig13/… the same way.
+//!   `(workload per thread slot, CoreConfig::fingerprint)`, single-thread
+//!   and SMT2 cells alike. The Baseline suite is simulated exactly once no
+//!   matter how many figures ask for it; `--all` shares Constable/EVES
+//!   runs across fig11/fig12/fig13/… the same way.
+//! * **One cell runner** — every missing cell (single-thread or SMT2,
+//!   plain or checkpointed, chaos-faulted or not) runs through
+//!   [`run_cell`], the same function the job server's
+//!   [`crate::JobContext`] calls.
 //! * **Persistent pool** — one set of worker threads (each owning a
 //!   [`SimScratch`]) lives for the whole session. A figure's entire
 //!   (workload × config) matrix is submitted as a single flat job list, so
@@ -36,12 +41,13 @@ use crate::runner::{self, RunLength, RunOutcome, WATCHDOG_BUDGET};
 use constable::IdealOracle;
 use load_inspector::LoadReport;
 use result_store::{GetOutcome, ResultStore, StoreDefectKind, StoreStats};
-use sim_core::{Core, CoreBatch, CoreConfig, SimScratch};
+use sim_core::{Core, CoreConfig, SimScratch};
 use sim_workload::{Category, Program, WorkloadSpec};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// A unit of pool work: runs on whichever worker steals it first, with that
 /// worker's long-lived scratch.
@@ -59,13 +65,13 @@ pub type MkOracleConfig<'a> = dyn Fn(&WorkloadSpec, IdealOracle) -> CoreConfig +
 /// per SMT2 pair (keyed by the pair's first workload).
 pub type MkPairConfig<'a> = dyn Fn(&WorkloadSpec) -> CoreConfig + Sync + 'a;
 
-/// A sweep cell keyed for memo write-back: ((workload index, config
-/// fingerprint), the config itself).
-type KeyedCell = ((usize, u64), CoreConfig);
+/// A sweep cell: the suite index of the workload in each hardware-thread
+/// slot (two for an SMT2 pair) and the logical machine config.
+type Cell = (Vec<usize>, CoreConfig);
 
-/// An SMT2 sweep cell keyed for memo write-back: ((first workload index,
-/// second workload index, config fingerprint), the config itself).
-type KeyedPairCell = ((usize, usize, u64), CoreConfig);
+/// A cell's memo identity: its thread-slot workload indices and config
+/// fingerprint.
+type CellKey = (Vec<usize>, u64);
 
 /// Persistent work-stealing pool: one worker per host core, each owning a
 /// [`SimScratch`] that is threaded through every job it executes. Jobs are
@@ -207,12 +213,11 @@ struct SweepCache {
     programs: Mutex<HashMap<(usize, bool), Arc<Program>>>,
     /// `(workload index, apx, run length)` → load-inspector report.
     reports: Mutex<HashMap<(usize, bool, u64), Arc<LoadReport>>>,
-    /// `(workload index, config fingerprint)` → completed or quarantined
-    /// run. Failures memoize too: a cell that died once is reported once,
-    /// not retried by every later figure that asks for it.
-    outcomes: Mutex<HashMap<(usize, u64), CellOutcome>>,
-    /// `(pair indices, config fingerprint)` → completed SMT2 run.
-    smt2: Mutex<HashMap<(usize, usize, u64), CellOutcome>>,
+    /// `(thread-slot workload indices, config fingerprint)` → completed or
+    /// quarantined run, single-thread and SMT2 alike. Failures memoize
+    /// too: a cell that died once is reported once, not retried by every
+    /// later figure that asks for it.
+    outcomes: Mutex<HashMap<CellKey, CellOutcome>>,
 }
 
 /// One figure-sweep invocation: the workload suite, the run length, and —
@@ -232,18 +237,11 @@ pub struct SweepSession<'s> {
     /// pool can reach the same handle.
     store: SharedStore,
     /// Mid-run checkpoint interval (core loop iterations per slice), if
-    /// this session checkpoints long cells. Requires an attached store;
-    /// forces every missing cell onto the scalar path (lockstep batches
-    /// share tapes across members and cannot snapshot one member alone).
+    /// this session checkpoints long cells. Requires an attached store.
     ckpt_interval: Option<u64>,
     /// Every quarantined cell of this session, in discovery order — the
     /// source of the binary's final quarantine table.
     failures: Mutex<Vec<CellFailure>>,
-    /// Whether same-workload cells of one pool submission run as lockstep
-    /// [`CoreBatch`]es off a shared functional record tape (on by
-    /// default). Off, every cell runs scalar — the A/B knob
-    /// `bench/sweep` measures the batched path against.
-    batch: bool,
 }
 
 impl<'s> SweepSession<'s> {
@@ -258,13 +256,11 @@ impl<'s> SweepSession<'s> {
                 programs: Mutex::new(HashMap::new()),
                 reports: Mutex::new(HashMap::new()),
                 outcomes: Mutex::new(HashMap::new()),
-                smt2: Mutex::new(HashMap::new()),
             }),
             chaos: None,
             store: Arc::new(Mutex::new(None)),
             ckpt_interval: None,
             failures: Mutex::new(Vec::new()),
-            batch: true,
         }
     }
 
@@ -281,18 +277,7 @@ impl<'s> SweepSession<'s> {
             store: Arc::new(Mutex::new(None)),
             ckpt_interval: None,
             failures: Mutex::new(Vec::new()),
-            batch: false,
         }
-    }
-
-    /// Disables config-lockstep batching: every missing cell runs scalar,
-    /// as the pre-batching engine did. Output is bit-identical either way
-    /// (locked by the trace-oracle goldens and the equivalence tests);
-    /// this knob exists so `bench/sweep` can time the two paths against
-    /// each other.
-    pub fn without_batching(mut self) -> Self {
-        self.batch = false;
-        self
     }
 
     /// Enables deterministic chaos injection on this session's pooled
@@ -315,11 +300,8 @@ impl<'s> SweepSession<'s> {
     /// Enables mid-run checkpointing of missing cells every `interval`
     /// core loop iterations. Only effective once a store is attached
     /// ([`with_store`](SweepSession::with_store)) — checkpoints live in
-    /// the store's `checkpoints/` tier. While checkpointing, every
-    /// missing cell runs scalar: a lockstep batch shares functional
-    /// record tapes across members, so one member cannot snapshot (or
-    /// resume) independently of its siblings. Results stay bit-identical
-    /// — slicing never changes what the model computes.
+    /// the store's `checkpoints/` tier. Results stay bit-identical —
+    /// slicing never changes what the model computes.
     pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
         assert!(
             self.cache.is_some(),
@@ -698,8 +680,8 @@ impl<'s> SweepSession<'s> {
             self.record_cell_failures(&cells);
             return cells;
         }
-        let sets = vec![self.configs_for(kind.needs_oracle(), |_, oracle| kind.config(oracle))];
-        self.run_config_sets(sets).pop().expect("one set")
+        let sets = vec![self.cells_for(kind.needs_oracle(), |_, oracle| kind.config(oracle))];
+        self.run_cells(sets).pop().expect("one set")
     }
 
     /// Runs the suite under several machines at once: every missing
@@ -719,11 +701,11 @@ impl<'s> SweepSession<'s> {
                 })
                 .collect();
         }
-        let sets: Vec<Vec<CoreConfig>> = kinds
+        let sets: Vec<Vec<Cell>> = kinds
             .iter()
-            .map(|&k| self.configs_for(k.needs_oracle(), |_, oracle| k.config(oracle)))
+            .map(|&k| self.cells_for(k.needs_oracle(), |_, oracle| k.config(oracle)))
             .collect();
-        self.run_config_sets(sets)
+        self.run_cells(sets)
             .into_iter()
             .map(|cells| cells.into_iter().collect())
             .collect()
@@ -741,8 +723,8 @@ impl<'s> SweepSession<'s> {
             self.record_cell_failures(&cells);
             return cells.into_iter().collect();
         }
-        let sets = vec![self.configs_for(with_oracle, mk)];
-        self.run_config_sets(sets)
+        let sets = vec![self.cells_for(with_oracle, mk)];
+        self.run_cells(sets)
             .pop()
             .expect("one set in, one out")
             .into_iter()
@@ -751,11 +733,9 @@ impl<'s> SweepSession<'s> {
 
     /// [`suite_with`](SweepSession::suite_with) over several config makers
     /// at once: one flat submission covering every (workload × maker)
-    /// cell, so a sensitivity sweep's whole grid reaches
-    /// [`run_config_sets`] together and same-workload cells batch in
-    /// config lockstep (Fig 20's depth/port scaling, Fig 14's pairings).
-    /// Results are per maker, in maker order — identical to calling
-    /// `suite_with` once per maker.
+    /// cell, so a sensitivity sweep's whole grid (Fig 20's depth/port
+    /// scaling) reaches the pool together. Results are per maker, in maker
+    /// order — identical to calling `suite_with` once per maker.
     pub fn suite_grid(
         &self,
         with_oracle: bool,
@@ -771,21 +751,21 @@ impl<'s> SweepSession<'s> {
                 })
                 .collect();
         }
-        let sets: Vec<Vec<CoreConfig>> = mks
+        let sets: Vec<Vec<Cell>> = mks
             .iter()
-            .map(|mk| self.configs_for(with_oracle, |s, o| mk(s, o)))
+            .map(|mk| self.cells_for(with_oracle, |s, o| mk(s, o)))
             .collect();
-        self.run_config_sets(sets)
+        self.run_cells(sets)
             .into_iter()
             .map(|cells| cells.into_iter().collect())
             .collect()
     }
 
-    /// Builds the per-workload configs a suite run would use (attaching the
+    /// Builds the single-thread cells a suite run would use (attaching the
     /// cached oracle when requested). Missing reports are batch-computed on
     /// the pool first, so a cold oracle-needing figure analyzes its
     /// workloads in parallel instead of serially on the caller thread.
-    fn configs_for<F>(&self, with_oracle: bool, mk: F) -> Vec<CoreConfig>
+    fn cells_for<F>(&self, with_oracle: bool, mk: F) -> Vec<Cell>
     where
         F: Fn(&WorkloadSpec, IdealOracle) -> CoreConfig,
     {
@@ -798,54 +778,52 @@ impl<'s> SweepSession<'s> {
                     Some(reports) => IdealOracle::new(reports[i].stable_pcs.iter().copied()),
                     None => IdealOracle::default(),
                 };
-                mk(spec, oracle)
+                (vec![i], mk(spec, oracle))
             })
             .collect()
     }
 
-    /// The memoizing core: runs every (workload, config) cell not already
-    /// in the outcome cache as one flat *guarded* pool batch (a panicking
-    /// cell quarantines instead of poisoning the batch), then assembles
-    /// each set's results in suite order.
-    fn run_config_sets(&self, sets: Vec<Vec<CoreConfig>>) -> Vec<Vec<CellOutcome>> {
+    /// The memoizing core behind every cached suite, grid and SMT2
+    /// pairing: runs every cell not already in the outcome memo as one
+    /// flat *guarded* pool batch (a panicking cell quarantines instead of
+    /// poisoning the batch), then assembles each set's results in order.
+    /// Missing cells are deduplicated across sets (two figures — or two
+    /// kinds of one figure — asking for the same cell share one run) and
+    /// answered from the store before any pool time is spent.
+    fn run_cells(&self, sets: Vec<Vec<Cell>>) -> Vec<Vec<CellOutcome>> {
         let cache = self.cache.as_ref().expect("cached mode only");
         self.ensure_programs(false);
-        let keyed: Vec<Vec<(usize, u64)>> = sets
+        let keyed: Vec<Vec<CellKey>> = sets
             .iter()
-            .map(|cfgs| {
-                cfgs.iter()
-                    .enumerate()
-                    .map(|(i, cfg)| (i, cfg.fingerprint()))
+            .map(|set| {
+                set.iter()
+                    .map(|(workloads, cfg)| (workloads.clone(), cfg.fingerprint()))
                     .collect()
             })
             .collect();
-        // Flat missing-job list, deduplicated across sets (two figures — or
-        // two kinds of one figure — asking for the same cell share one run).
-        let mut missing: Vec<((usize, u64), CoreConfig)> = Vec::new();
+        let mut missing: Vec<(CellKey, CoreConfig)> = Vec::new();
         {
             let done = cache.outcomes.lock().expect("outcomes lock");
-            let mut queued: std::collections::HashSet<(usize, u64)> =
-                std::collections::HashSet::new();
-            for (set, keys) in sets.iter().zip(&keyed) {
-                for (cfg, &(i, fp)) in set.iter().zip(keys) {
-                    if !done.contains_key(&(i, fp)) && queued.insert((i, fp)) {
-                        missing.push(((i, fp), cfg.clone()));
+            let mut queued: HashSet<&CellKey> = HashSet::new();
+            for (set, keys) in sets.into_iter().zip(&keyed) {
+                for ((_, cfg), key) in set.into_iter().zip(keys) {
+                    if !done.contains_key(key) && queued.insert(key) {
+                        missing.push((key.clone(), cfg));
                     }
                 }
             }
         }
-        // Answer store-resident cells before spending pool time: a
-        // verified hit goes straight into the outcome memo; a damaged
-        // record quarantines (with forensics in the failure registry) and
-        // falls through to recompute.
+        // A verified store hit goes straight into the outcome memo; a
+        // damaged record quarantines (with forensics in the failure
+        // registry) and falls through to recompute.
         if !missing.is_empty() {
             let mut guard = self.store.lock().expect("store lock");
             if let Some(store) = guard.as_mut() {
                 let mut done = cache.outcomes.lock().expect("outcomes lock");
-                missing.retain(|((i, fp), cfg)| {
-                    match self.store_lookup(store, &[&self.specs[*i]], cfg, *fp) {
+                missing.retain(|((workloads, fp), cfg)| {
+                    match self.store_lookup(store, &self.cell_specs(workloads), cfg, *fp) {
                         Some(outcome) => {
-                            done.entry((*i, *fp)).or_insert(Ok(outcome));
+                            done.entry((workloads.clone(), *fp)).or_insert(Ok(outcome));
                             false
                         }
                         None => true,
@@ -856,117 +834,66 @@ impl<'s> SweepSession<'s> {
         if !missing.is_empty() {
             let n = self.n;
             let ckpt_on = self.checkpointing();
-            // Fetch once, simulate many: group the surviving flat list by
-            // workload — every group member runs the same program, so its
-            // functional record stream is shared state, not per-cell work.
-            // Groups of ≥2 execute as lockstep [`CoreBatch`] jobs off one
-            // shared tape (chunked so a huge grid still load-balances
-            // across workers); chaos-faulted cells, singletons, and every
-            // cell of a checkpointing session run on the scalar path.
-            // Store/memo hits never get here — they were retained out of
-            // `missing` above — so a warm-peeled member shrinks its batch
-            // without touching the siblings' inputs.
-            let mut groups: Vec<(usize, Vec<KeyedCell>)> = Vec::new();
-            for (key, cfg) in missing {
-                match groups.iter_mut().find(|(w, _)| *w == key.0) {
-                    Some((_, v)) => v.push((key, cfg)),
-                    None => groups.push((key.0, vec![(key, cfg)])),
-                }
-            }
-            let mut jobs: Vec<BatchJob<Vec<CellOutcome>>> = Vec::new();
-            let mut job_keys: Vec<Vec<KeyedCell>> = Vec::new();
-            for (i, members) in groups {
-                let program = self.program(i);
-                let name = self.specs[i].name.clone();
-                let category = self.specs[i].category;
-                let (mut scalar, mut lockstep): (Vec<_>, Vec<_>) =
-                    members.into_iter().partition(|&((_, fp), _)| {
-                        self.chaos.is_some_and(|c| c.fault_for(&name, fp).is_some())
-                    });
-                if !self.batch || ckpt_on || lockstep.len() == 1 {
-                    scalar.append(&mut lockstep);
-                }
-                for (key, cfg) in scalar {
-                    let program = Arc::clone(&program);
-                    let name = name.clone();
-                    let job_cfg = cfg.clone();
-                    let fp = key.1;
+            let jobs: Vec<BatchJob<CellOutcome>> = missing
+                .iter()
+                .map(|((workloads, fp), cfg)| {
+                    let fp = *fp;
+                    let programs: Vec<Arc<Program>> =
+                        workloads.iter().map(|&i| self.program(i)).collect();
+                    let name = self.cell_name(workloads);
+                    let category = self.specs[workloads[0]].category;
                     let fault = self.chaos.and_then(|c| c.fault_for(&name, fp));
                     let ckpt = (ckpt_on && fault.is_none())
-                        .then(|| self.checkpointer(&[&self.specs[i]], &cfg, &name, fp));
-                    let job: BatchJob<Vec<CellOutcome>> = Box::new(move |scratch| {
-                        vec![run_pooled(
-                            &program, &name, category, job_cfg, n, fp, fault, ckpt, scratch,
-                        )]
+                        .then(|| self.checkpointer(&self.cell_specs(workloads), cfg, &name, fp));
+                    let cfg = cfg.clone();
+                    let job: BatchJob<CellOutcome> = Box::new(move |scratch| {
+                        let programs: Vec<&Program> = programs.iter().map(Arc::as_ref).collect();
+                        let cell = run_cell(
+                            &programs,
+                            &name,
+                            category,
+                            cfg,
+                            n,
+                            fp,
+                            fault,
+                            ckpt.as_ref(),
+                            None,
+                            scratch,
+                        );
+                        cell.0
                     });
-                    jobs.push(job);
-                    job_keys.push(vec![(key, cfg)]);
-                }
-                for chunk in lockstep.chunks(MAX_LOCKSTEP) {
-                    let keyed = chunk.to_vec();
-                    let program = Arc::clone(&program);
-                    let name = name.clone();
-                    let cells: Vec<(u64, CoreConfig)> = keyed
-                        .iter()
-                        .map(|((_, fp), cfg)| (*fp, cfg.clone()))
-                        .collect();
-                    let job: BatchJob<Vec<CellOutcome>> = Box::new(move |scratch| {
-                        run_pooled_lockstep(&[&program], &name, category, cells, n.0, n, scratch)
-                    });
-                    jobs.push(job);
-                    job_keys.push(keyed);
-                }
-            }
+                    job
+                })
+                .collect();
             let outcomes = cache.pool.run_batch_guarded(jobs);
             let mut done = cache.outcomes.lock().expect("outcomes lock");
             let mut store_guard = self.store.lock().expect("store lock");
-            for (keys, outcome) in job_keys.into_iter().zip(outcomes) {
-                match outcome {
-                    Ok(cells) => {
-                        debug_assert_eq!(cells.len(), keys.len(), "one outcome per member");
-                        for ((key, cfg), cell) in keys.into_iter().zip(cells) {
-                            let (i, _) = key;
-                            if let Err(f) = &cell {
-                                self.record_failure(f);
-                            }
-                            // Persist freshly computed clean cells (the
-                            // store only ever holds verified-Ok outcomes).
-                            if let (Ok(run), Some(store)) = (&cell, store_guard.as_mut()) {
-                                self.store_put(store, &[&self.specs[i]], &cfg, run);
-                            }
-                            done.entry(key).or_insert(cell);
-                        }
-                    }
-                    Err(payload) => {
-                        // The job panicked on its worker: wrap the payload
-                        // in a quarantine bundle for every member (scalar
-                        // jobs have one), re-asking the chaos plan whether
-                        // the cell was scheduled for an injected panic —
-                        // classic, or a checkpoint-boundary kill.
-                        for (key, _) in keys {
-                            let (i, fp) = key;
-                            let name = &self.specs[i].name;
-                            // (`ckpt_on`, not `self.checkpointing()`: the
-                            // latter locks the store, which this thread
-                            // already holds via `store_guard`.)
-                            let injected = self.chaos.is_some_and(|c| {
-                                c.fault_for(name, fp) == Some(ChaosFault::Panic)
-                                    || (ckpt_on && c.ckpt_kill_for(name, fp).is_some())
-                            });
-                            let cell = Err(CellFailure::from_panic(
-                                name,
-                                fp,
-                                self.n,
-                                payload.clone(),
-                                injected,
-                            ));
-                            if let Err(f) = &cell {
-                                self.record_failure(f);
-                            }
-                            done.entry(key).or_insert(cell);
-                        }
-                    }
+            for (((workloads, fp), cfg), outcome) in missing.into_iter().zip(outcomes) {
+                let cell = outcome.unwrap_or_else(|payload| {
+                    // The job panicked on its worker: wrap the payload in
+                    // a quarantine bundle, re-asking the chaos plan whether
+                    // the cell was scheduled for an injected panic —
+                    // classic, or a checkpoint-boundary kill. (`ckpt_on`,
+                    // not `self.checkpointing()`: the latter locks the
+                    // store, which this thread already holds.)
+                    let name = self.cell_name(&workloads);
+                    let injected = self.chaos.is_some_and(|c| {
+                        c.fault_for(&name, fp) == Some(ChaosFault::Panic)
+                            || (ckpt_on && c.ckpt_kill_for(&name, fp).is_some())
+                    });
+                    Err(CellFailure::from_panic(
+                        &name, fp, self.n, payload, injected,
+                    ))
+                });
+                if let Err(f) = &cell {
+                    self.record_failure(f);
                 }
+                // Persist freshly computed clean cells (the store only
+                // ever holds verified-Ok outcomes).
+                if let (Ok(run), Some(store)) = (&cell, store_guard.as_mut()) {
+                    self.store_put(store, &self.cell_specs(&workloads), &cfg, run);
+                }
+                done.entry((workloads, fp)).or_insert(cell);
             }
         }
         let done = cache.outcomes.lock().expect("outcomes lock");
@@ -978,6 +905,21 @@ impl<'s> SweepSession<'s> {
                     .collect()
             })
             .collect()
+    }
+
+    /// The suite specs of a cell's thread slots.
+    fn cell_specs(&self, workloads: &[usize]) -> Vec<&'s WorkloadSpec> {
+        workloads.iter().map(|&i| &self.specs[i]).collect()
+    }
+
+    /// A cell's workload name: one suite name, or an SMT2 pair's two names
+    /// joined with `+` (the vocabulary of the `cell` subcommand).
+    fn cell_name(&self, workloads: &[usize]) -> String {
+        workloads
+            .iter()
+            .map(|&i| self.specs[i].name.as_str())
+            .collect::<Vec<_>>()
+            .join("+")
     }
 
     /// Runs the SMT2 pairing (workload `i` co-scheduled with `i + half`),
@@ -993,15 +935,14 @@ impl<'s> SweepSession<'s> {
 
     /// [`suite_smt2`](SweepSession::suite_smt2) over several config makers
     /// at once (Fig 14's four machine pairings): every missing
-    /// (pair × maker) cell reaches the pool as one submission, and
-    /// same-pair cells run as lockstep batches sharing both threads'
-    /// functional record tapes. Results are per maker, in maker order —
-    /// identical to calling `suite_smt2` once per maker.
+    /// (pair × maker) cell reaches the pool as one submission. Results are
+    /// per maker, in maker order — identical to calling `suite_smt2` once
+    /// per maker.
     pub fn suite_smt2_grid(
         &self,
         mks: &[&MkPairConfig<'_>],
     ) -> Result<Vec<Vec<RunOutcome>>, CellFailure> {
-        let Some(cache) = &self.cache else {
+        if self.cache.is_none() {
             return mks
                 .iter()
                 .map(|mk| {
@@ -1010,171 +951,19 @@ impl<'s> SweepSession<'s> {
                     cells.into_iter().collect()
                 })
                 .collect();
-        };
-        self.ensure_programs(false);
+        }
         let half = self.specs.len() / 2;
-        let keyed: Vec<Vec<(usize, usize, u64)>> = mks
+        let sets: Vec<Vec<Cell>> = mks
             .iter()
             .map(|mk| {
                 (0..half)
-                    .map(|i| (i, i + half, mk(&self.specs[i]).fingerprint()))
+                    .map(|i| (vec![i, i + half], mk(&self.specs[i])))
                     .collect()
             })
             .collect();
-        // Flat missing list, deduplicated across makers, each entry
-        // carrying its config (fingerprints don't invert).
-        let mut missing: Vec<((usize, usize, u64), CoreConfig)> = Vec::new();
-        {
-            let done = cache.smt2.lock().expect("smt2 lock");
-            let mut queued: std::collections::HashSet<(usize, usize, u64)> =
-                std::collections::HashSet::new();
-            for (mk, keys) in mks.iter().zip(&keyed) {
-                for &key in keys {
-                    if !done.contains_key(&key) && queued.insert(key) {
-                        missing.push((key, mk(&self.specs[key.0])));
-                    }
-                }
-            }
-        }
-        // Store-resident pairs answer from disk exactly like single-thread
-        // cells: the key covers both specs and the pair config.
-        if !missing.is_empty() {
-            let mut guard = self.store.lock().expect("store lock");
-            if let Some(store) = guard.as_mut() {
-                let mut done = cache.smt2.lock().expect("smt2 lock");
-                missing.retain(|&((i, j, fp), ref cfg)| {
-                    let pair = [&self.specs[i], &self.specs[j]];
-                    match self.store_lookup(store, &pair, cfg, fp) {
-                        Some(outcome) => {
-                            done.entry((i, j, fp)).or_insert(Ok(outcome));
-                            false
-                        }
-                        None => true,
-                    }
-                });
-            }
-        }
-        if !missing.is_empty() {
-            let n = self.n;
-            let ckpt_on = self.checkpointing();
-            // Same grouping as `run_config_sets`, keyed by pair: members
-            // of one pair share both programs, so lockstep batches share
-            // two record tapes (one per hardware thread).
-            let mut groups: Vec<((usize, usize), Vec<KeyedPairCell>)> = Vec::new();
-            for (key, cfg) in missing {
-                match groups.iter_mut().find(|(p, _)| *p == (key.0, key.1)) {
-                    Some((_, v)) => v.push((key, cfg)),
-                    None => groups.push(((key.0, key.1), vec![(key, cfg)])),
-                }
-            }
-            let mut jobs: Vec<BatchJob<Vec<CellOutcome>>> = Vec::new();
-            let mut job_keys: Vec<Vec<KeyedPairCell>> = Vec::new();
-            for ((i, j), members) in groups {
-                let pa = self.program(i);
-                let pb = self.program(j);
-                let pair = format!("{}+{}", self.specs[i].name, self.specs[j].name);
-                let category = self.specs[i].category;
-                let (mut scalar, mut lockstep): (Vec<_>, Vec<_>) =
-                    members.into_iter().partition(|&((_, _, fp), _)| {
-                        self.chaos.is_some_and(|c| c.fault_for(&pair, fp).is_some())
-                    });
-                if !self.batch || ckpt_on || lockstep.len() == 1 {
-                    scalar.append(&mut lockstep);
-                }
-                for (key, cfg) in scalar {
-                    let pa = Arc::clone(&pa);
-                    let pb = Arc::clone(&pb);
-                    let pair = pair.clone();
-                    let job_cfg = cfg.clone();
-                    let fp = key.2;
-                    let fault = self.chaos.and_then(|c| c.fault_for(&pair, fp));
-                    let ckpt = (ckpt_on && fault.is_none()).then(|| {
-                        self.checkpointer(&[&self.specs[i], &self.specs[j]], &cfg, &pair, fp)
-                    });
-                    let job: BatchJob<Vec<CellOutcome>> = Box::new(move |scratch| {
-                        vec![run_pooled_smt2(
-                            &pa, &pb, &pair, category, job_cfg, n, fp, fault, ckpt, scratch,
-                        )]
-                    });
-                    jobs.push(job);
-                    job_keys.push(vec![(key, cfg)]);
-                }
-                for chunk in lockstep.chunks(MAX_LOCKSTEP) {
-                    let keyed = chunk.to_vec();
-                    let pa = Arc::clone(&pa);
-                    let pb = Arc::clone(&pb);
-                    let pair = pair.clone();
-                    let cells: Vec<(u64, CoreConfig)> = keyed
-                        .iter()
-                        .map(|((_, _, fp), cfg)| (*fp, cfg.clone()))
-                        .collect();
-                    let job: BatchJob<Vec<CellOutcome>> = Box::new(move |scratch| {
-                        run_pooled_lockstep(
-                            &[&pa, &pb],
-                            &pair,
-                            category,
-                            cells,
-                            n.0 / 2,
-                            n,
-                            scratch,
-                        )
-                    });
-                    jobs.push(job);
-                    job_keys.push(keyed);
-                }
-            }
-            let outcomes = cache.pool.run_batch_guarded(jobs);
-            let mut done = cache.smt2.lock().expect("smt2 lock");
-            let mut store_guard = self.store.lock().expect("store lock");
-            for (keys, outcome) in job_keys.into_iter().zip(outcomes) {
-                match outcome {
-                    Ok(cells) => {
-                        debug_assert_eq!(cells.len(), keys.len(), "one outcome per member");
-                        for ((key, cfg), cell) in keys.into_iter().zip(cells) {
-                            let (i, j, _) = key;
-                            if let Err(f) = &cell {
-                                self.record_failure(f);
-                            }
-                            if let (Ok(run), Some(store)) = (&cell, store_guard.as_mut()) {
-                                self.store_put(store, &[&self.specs[i], &self.specs[j]], &cfg, run);
-                            }
-                            done.entry(key).or_insert(cell);
-                        }
-                    }
-                    Err(payload) => {
-                        for (key, _) in keys {
-                            let (i, j, fp) = key;
-                            let pair = format!("{}+{}", self.specs[i].name, self.specs[j].name);
-                            // `ckpt_on`, not `self.checkpointing()` — the
-                            // store lock is already held here.
-                            let injected = self.chaos.is_some_and(|c| {
-                                c.fault_for(&pair, fp) == Some(ChaosFault::Panic)
-                                    || (ckpt_on && c.ckpt_kill_for(&pair, fp).is_some())
-                            });
-                            let cell = Err(CellFailure::from_panic(
-                                &pair,
-                                fp,
-                                self.n,
-                                payload.clone(),
-                                injected,
-                            ));
-                            if let Err(f) = &cell {
-                                self.record_failure(f);
-                            }
-                            done.entry(key).or_insert(cell);
-                        }
-                    }
-                }
-            }
-        }
-        let done = cache.smt2.lock().expect("smt2 lock");
-        keyed
-            .iter()
-            .map(|keys| {
-                keys.iter()
-                    .map(|key| done.get(key).expect("just computed").clone())
-                    .collect()
-            })
+        self.run_cells(sets)
+            .into_iter()
+            .map(|cells| cells.into_iter().collect())
             .collect()
     }
 
@@ -1199,158 +988,72 @@ impl<'s> SweepSession<'s> {
     }
 }
 
-/// Largest lockstep batch one pool job runs. Bounds the tape spread a
-/// single slow member can force, keeps a wide grid row load-balancing
-/// across workers instead of serializing behind one giant batch, and caps
-/// the live-core memory footprint: measured on the fig20 grids, width 4
-/// runs a cold-scratch round ~15% faster than width 8 (fewer
-/// simultaneously growing ROB/queue/tape allocations) and is parity warm.
-const MAX_LOCKSTEP: usize = 4;
-
-/// One pooled simulation: mirrors `runner::run_one_with_scratch`, except
-/// the program is the session's shared build and the oracle (if any) is
-/// already inside `cfg`. `fp` is the logical fingerprint the memo filed
-/// the cell under (computed before the watchdog/chaos knobs below, which
-/// are harness instrumentation, not machine identity). Verification is
-/// per cell: a failing run returns its quarantine bundle.
+/// Runs one (workload, machine) cell: the single path every sweep cell
+/// and every job-server cell takes. `programs` holds one program per
+/// hardware thread (two for an SMT2 pair), and each thread retires
+/// `n / programs.len()` instructions. `fp` is the logical fingerprint the
+/// memo and the failure registry file the cell under, computed before the
+/// watchdog, chaos and deadline knobs applied here (harness
+/// instrumentation, not machine identity). With `ckpt`, the run resumes
+/// from the cell's newest checkpoint and snapshots at every interval
+/// boundary — bit-identical to the straight run. Verification is per cell:
+/// a failing run returns its quarantine bundle. Also returns whether the
+/// run resumed from a checkpoint.
 #[allow(clippy::too_many_arguments)]
-fn run_pooled(
-    program: &Program,
+pub(crate) fn run_cell(
+    programs: &[&Program],
     name: &str,
     category: Category,
     mut cfg: CoreConfig,
     n: RunLength,
     fp: u64,
     fault: Option<ChaosFault>,
-    ckpt: Option<Checkpointer>,
+    ckpt: Option<&Checkpointer>,
+    deadline: Option<Instant>,
     scratch: &mut SimScratch,
-) -> CellOutcome {
+) -> (CellOutcome, bool) {
     if fault == Some(ChaosFault::Panic) {
         panic!("chaos: injected worker panic ({name})");
     }
+    let per_thread = n.0 / programs.len() as u64;
     cfg.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
     if fault == Some(ChaosFault::Stall) {
         // Wedge the core halfway through: retirement stops, the pipeline
         // starves, and the watchdog must abort with a frozen snapshot.
-        cfg.wedge_after_retire = Some(n.0 / 2);
+        cfg.wedge_after_retire = Some(per_thread / 2);
     }
     let s = std::mem::take(scratch);
-    let mut result = if let Some(ckpt) = &ckpt {
-        // Checkpointed path: bounded slices with a durable snapshot at
-        // every boundary, resuming from disk if a snapshot exists.
-        // Bit-identical to the monolithic run below.
-        let (result, s, _resumed) = ckpt::run_checkpointed(&[program], &cfg, s, n.0, ckpt, None);
-        *scratch = s;
-        result
-    } else {
-        let mut core = Core::new_multi_with_scratch(vec![program], cfg, s);
-        let result = core.run(n.0);
-        *scratch = core.into_scratch();
-        result
+    let (mut result, resumed) = match ckpt {
+        Some(ckpt) => {
+            let (result, s, resumed) =
+                ckpt::run_checkpointed(programs, &cfg, s, per_thread, ckpt, deadline);
+            *scratch = s;
+            (result, resumed)
+        }
+        None => {
+            let mut core = Core::new_multi_with_scratch(programs.to_vec(), cfg, s);
+            if let Some(at) = deadline {
+                core.set_deadline(at);
+            }
+            let result = core.run(per_thread);
+            *scratch = core.into_scratch();
+            (result, false)
+        }
     };
     if fault == Some(ChaosFault::CorruptDigest) {
         // Simulated digest corruption: trip the §8.5 verification path
         // without touching the (shared, memoized) simulation inputs.
         result.stats.golden_mismatches += 1;
     }
-    match result.verify() {
+    let outcome = match result.verify() {
         Ok(()) => Ok(RunOutcome {
             workload: name.to_string(),
             category,
             result,
         }),
         Err(e) => Err(CellFailure::from_error(name, fp, n, &e, fault.is_some())),
-    }
-}
-
-/// [`run_pooled`] for an SMT2 pair: two programs co-scheduled on one core,
-/// half the run length per thread (same convention as
-/// `runner::run_suite_smt2`), chaos wedging at a quarter so the stall
-/// lands mid-run.
-#[allow(clippy::too_many_arguments)]
-fn run_pooled_smt2(
-    pa: &Program,
-    pb: &Program,
-    pair: &str,
-    category: Category,
-    mut cfg: CoreConfig,
-    n: RunLength,
-    fp: u64,
-    fault: Option<ChaosFault>,
-    ckpt: Option<Checkpointer>,
-    scratch: &mut SimScratch,
-) -> CellOutcome {
-    if fault == Some(ChaosFault::Panic) {
-        panic!("chaos: injected worker panic ({pair})");
-    }
-    cfg.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
-    if fault == Some(ChaosFault::Stall) {
-        cfg.wedge_after_retire = Some(n.0 / 4);
-    }
-    let s = std::mem::take(scratch);
-    let mut result = if let Some(ckpt) = &ckpt {
-        let (result, s, _resumed) = ckpt::run_checkpointed(&[pa, pb], &cfg, s, n.0 / 2, ckpt, None);
-        *scratch = s;
-        result
-    } else {
-        let mut core = Core::new_multi_with_scratch(vec![pa, pb], cfg, s);
-        let result = core.run(n.0 / 2);
-        *scratch = core.into_scratch();
-        result
     };
-    if fault == Some(ChaosFault::CorruptDigest) {
-        result.stats.golden_mismatches += 1;
-    }
-    match result.verify() {
-        Ok(()) => Ok(RunOutcome {
-            workload: pair.to_string(),
-            category,
-            result,
-        }),
-        Err(e) => Err(CellFailure::from_error(pair, fp, n, &e, fault.is_some())),
-    }
-}
-
-/// One pooled lockstep batch: every `(fingerprint, config)` member runs
-/// `programs` (one per hardware thread) off shared functional record
-/// tapes via [`CoreBatch`], to `target` retired instructions per thread.
-/// Mirrors [`run_pooled`] member-for-member — same watchdog default, same
-/// per-cell verification — minus the chaos knobs, which the caller peels
-/// to the scalar path so an injected fault stays confined to its own
-/// cell. Each member's result is bit-identical to its scalar run (locked
-/// by the trace-oracle goldens and fuzzed by `shortcut_fuzz`).
-fn run_pooled_lockstep(
-    programs: &[&Program],
-    name: &str,
-    category: Category,
-    members: Vec<(u64, CoreConfig)>,
-    target: u64,
-    n: RunLength,
-    scratch: &mut SimScratch,
-) -> Vec<CellOutcome> {
-    let cfgs: Vec<CoreConfig> = members
-        .iter()
-        .map(|(_, cfg)| {
-            let mut cfg = cfg.clone();
-            cfg.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
-            cfg
-        })
-        .collect();
-    let mut batch = CoreBatch::with_scratch(programs.to_vec(), cfgs, scratch);
-    let results = batch.run_all(target);
-    batch.recycle_into(scratch);
-    members
-        .into_iter()
-        .zip(results)
-        .map(|((fp, _), result)| match result.verify() {
-            Ok(()) => Ok(RunOutcome {
-                workload: name.to_string(),
-                category,
-                result,
-            }),
-            Err(e) => Err(CellFailure::from_error(name, fp, n, &e, false)),
-        })
-        .collect()
+    (outcome, resumed)
 }
 
 #[cfg(test)]

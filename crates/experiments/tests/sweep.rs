@@ -59,26 +59,26 @@ fn instrumented_figures_are_byte_identical_to_uncached() {
     assert_byte_identical(&["fig17", "xprf"]);
 }
 
-/// The SMT2 path (borrowed index pairs + pair-keyed memo).
+/// The SMT2 path: pair cells through the same missing-cell engine and
+/// memo as single-thread cells, locked against the uncached reference.
 #[test]
 fn fig14_memoized_is_byte_identical_to_uncached() {
     assert_byte_identical(&["fig14"]);
 }
 
-/// The sensitivity grids — the widest lockstep batches in the figure set
-/// (8 configs per workload off one shared record tape).
+/// The sensitivity grids — the widest flat submissions in the figure set
+/// (8 configs per workload), locked against the uncached reference.
 #[test]
 fn fig20_grids_are_byte_identical_to_uncached() {
     assert_byte_identical(&["fig20a", "fig20b"]);
 }
 
-/// A memo hit for one batch member must not perturb its siblings: after
-/// pre-warming exactly one config of a grid, the next sweep peels that
-/// member out of the lockstep batch — the survivors run in a *smaller*
-/// batch than a cold session would use, and must still produce
-/// bit-identical stats. This is the warm-peel regression the batching
-/// engine has to hold (batch composition is an implementation detail,
-/// never an observable).
+/// A memo hit for one grid member must not perturb its siblings: after
+/// pre-warming exactly one config of a grid, the next sweep answers that
+/// member from the memo and submits only the others — a *smaller* job list
+/// than a cold session's — which must still produce bit-identical stats
+/// (what a submission contains is an implementation detail, never an
+/// observable).
 #[test]
 fn warm_peeled_batch_members_match_cold_grid() {
     let specs = sim_workload::suite_subset(SUBSET);
@@ -90,14 +90,14 @@ fn warm_peeled_batch_members_match_cold_grid() {
     }
     let mk_refs: Vec<&MkOracleConfig> = mks.iter().map(|b| b.as_ref()).collect();
 
-    // Cold reference: all four configs batch together from scratch.
+    // Cold reference: all four configs submitted together from scratch.
     let cold_session = SweepSession::new(&specs, N);
     let cold = cold_session
         .suite_grid(false, &mk_refs)
         .expect("clean cold grid");
 
     // Warm run: member 2 is memoized first (runs alone), so the grid sweep
-    // batches only the remaining three configs per workload.
+    // submits only the remaining three configs per workload.
     let warm_session = SweepSession::new(&specs, N);
     let peeled = warm_session
         .suite_with(false, |s, o| mk_refs[2](s, o))
@@ -120,7 +120,7 @@ fn warm_peeled_batch_members_match_cold_grid() {
             assert!(!w.result.hit_cycle_guard);
             assert_eq!(
                 c.result.stats, w.result.stats,
-                "config {k} / {}: peeled-batch stats diverged from cold batch",
+                "config {k} / {}: warm-peeled stats diverged from the cold grid",
                 c.workload
             );
             assert_eq!(c.result.retired_per_thread, w.result.retired_per_thread);

@@ -10,7 +10,8 @@
 //! ```text
 //! header   : u32 CKPT_FORMAT_VERSION, u64 config fingerprint,
 //!            u8 thread count, u64 program fingerprint per thread
-//! tapes    : per thread — pull point, replay records, functional machine
+//! tapes    : per thread — pull point, replay-record count (always 0),
+//!            functional machine
 //! threads  : per thread — queues, rename state, predictor-side state
 //! core     : clock, window slab, events, hierarchy, predictors, stats
 //! ```
@@ -487,7 +488,7 @@ mod tests {
         assert_eq!(straight.stats_digest(), resumed.stats_digest());
     }
 
-    /// Same bit-exactness under SMT2 (shared structures, per-thread tapes)
+    /// Same bit-exactness under SMT2 (shared structures, per-thread machines)
     /// and with the EVES value predictor in play.
     #[test]
     fn smt2_checkpoint_restore_is_bit_exact() {
@@ -577,6 +578,42 @@ mod tests {
                 expected: 2
             })
         ));
+    }
+
+    /// The tape section's replay-record count is always written as 0 (a
+    /// restored thread owns its machine at the pull point). A checkpoint
+    /// patched to claim replay records must restore to a typed error,
+    /// never a panic — whether the claimed records fit in the stream or
+    /// overrun it.
+    #[test]
+    fn restore_rejects_nonzero_replay_record_count() {
+        let spec = &suite_subset(2)[0];
+        let program = spec.build();
+        let cfg = CoreConfig::golden_cove_like().with_constable();
+        let mut core = Core::new(&program, cfg.clone());
+        assert!(core.run_slice(1_000_000, 4096), "still mid-run");
+        let bytes = core.checkpoint();
+        // Header: u32 version, u64 config fingerprint, u8 thread count,
+        // u64 program fingerprint; then thread 0's u64 pull point and the
+        // u64 replay-record count.
+        let count_at = 4 + 8 + 1 + 8 + 8;
+        assert_eq!(
+            bytes[count_at..count_at + 8],
+            0u64.to_le_bytes(),
+            "writers always emit a zero replay-record count"
+        );
+        for count in [1u64, 3, u64::MAX] {
+            let mut patched = bytes.clone();
+            patched[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+            assert!(
+                matches!(
+                    Core::restore(vec![&program], cfg.clone(), SimScratch::new(), &patched),
+                    Err(CkptError::Codec(_))
+                ),
+                "replay-record count {count} must be refused"
+            );
+        }
+        assert!(Core::restore(vec![&program], cfg, SimScratch::new(), &bytes).is_ok());
     }
 
     /// Key-format drift guard, in the spirit of the result-store's

@@ -56,10 +56,8 @@ use constable::{Constable, IdealConfig, LoadRename, StackState, XprfSlot};
 use sim_isa::{AluOp, ArchReg, BranchKind, CodecError, Dec, DynInst, Enc, InstClass, OpKind, Pc};
 use sim_mem::{line_addr, EvictionSink, MemoryHierarchy, SnoopInjector};
 use sim_predictors::{Elar, Eves, Mrn, ReturnStack, StoreSets, Tage};
-use sim_workload::{Machine, Program, RecordStream};
-use std::cell::RefCell;
+use sim_workload::{Machine, Program};
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// Address-space tag shift for SMT threads (thread 1's physical addresses
 /// and predictor-visible PCs are offset to model distinct address spaces).
@@ -95,45 +93,14 @@ struct RetiredUop {
     stack_after: StackState,
 }
 
-/// Where a thread's functional records come from: a private [`Machine`]
-/// (the scalar path — every record is produced exactly once, in order), or
-/// a [`RecordStream`] tape shared with the sibling members of a
-/// [`crate::CoreBatch`] running the same program under different configs
-/// (records are produced once *per batch* and re-read by sequence number).
-/// Both sources yield bit-identical records for a given sequence number —
-/// the stream is a pure function of the program — so the choice is
-/// invisible to the timing model and to every committed digest.
-#[derive(Debug)]
-enum RecordSource<'p> {
-    Own(Box<Machine<'p>>),
-    Shared(Rc<RefCell<RecordStream<'p>>>),
-}
-
-impl<'p> RecordSource<'p> {
-    /// The record with sequence number `seq`. Callers pull strictly
-    /// monotonically (flush recovery rewinds into the already-buffered
-    /// `pending` ring, never into the source).
-    #[inline]
-    fn next(&mut self, seq: u64) -> DynInst {
-        match self {
-            RecordSource::Own(m) => {
-                debug_assert_eq!(m.executed(), seq, "scalar record source out of sync");
-                m.step()
-            }
-            RecordSource::Shared(tape) => tape.borrow_mut().get(seq),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Thread<'p> {
     id: usize,
     program: &'p Program,
-    source: RecordSource<'p>,
-    /// Next record sequence number to pull from `source`. Monotone
-    /// nondecreasing — wrong-path flushes rewind `cursor` into `pending`,
-    /// never the pull point — which is what lets a shared source trim.
-    pulled: u64,
+    /// The thread's functional machine; its next record is sequence
+    /// number `machine.executed()`. Wrong-path flushes rewind `cursor`
+    /// into `pending`, never the machine.
+    machine: Machine<'p>,
     /// Fetched-ahead functional records; front = oldest unretired.
     pending: VecDeque<DynInst>,
     /// Index into `pending` of the next record to fetch.
@@ -183,13 +150,12 @@ impl<'p> Thread<'p> {
         program: &'p Program,
         rob_cap: usize,
         ts: ThreadScratch,
-        source: RecordSource<'p>,
+        machine: Machine<'p>,
     ) -> Self {
         Thread {
             id,
             program,
-            source,
-            pulled: 0,
+            machine,
             pending: ts.pending,
             cursor: 0,
             rob: ts.rob,
@@ -452,9 +418,6 @@ pub struct Core<'p> {
     /// Deadline poll cadence counter (persists across slices so the
     /// polling rate is independent of slice length).
     poll_iters: u64,
-    /// Sibling scratch bank carried through the run untouched so
-    /// [`Core::into_scratch`] hands it back (see `SimScratch::bank`).
-    scratch_bank: Vec<SimScratch>,
 }
 
 // Thin alias so the field reads naturally.
@@ -489,36 +452,13 @@ impl<'p> Core<'p> {
         cfg: CoreConfig,
         scratch: SimScratch,
     ) -> Self {
-        let sources = programs
-            .iter()
-            .map(|p| RecordSource::Own(Box::new(Machine::new(p))))
-            .collect();
-        Self::build(programs, sources, cfg, scratch)
-    }
-
-    /// Like [`Core::new_multi_with_scratch`], but pulling functional
-    /// records from shared [`RecordStream`] tapes (one per thread slot)
-    /// instead of a private machine — the constructor [`crate::CoreBatch`]
-    /// uses to run N configs of the same program off one functional
-    /// execution. Record streams are pure functions of the program, so the
-    /// resulting timing (and every digest) is identical to the scalar path.
-    pub(crate) fn new_shared_with_scratch(
-        programs: Vec<&'p Program>,
-        tapes: &[Rc<RefCell<RecordStream<'p>>>],
-        cfg: CoreConfig,
-        scratch: SimScratch,
-    ) -> Self {
-        assert_eq!(programs.len(), tapes.len(), "one tape per thread slot");
-        let sources = tapes
-            .iter()
-            .map(|t| RecordSource::Shared(Rc::clone(t)))
-            .collect();
-        Self::build(programs, sources, cfg, scratch)
+        let machines = programs.iter().map(|p| Machine::new(p)).collect();
+        Self::build(programs, machines, cfg, scratch)
     }
 
     fn build(
         programs: Vec<&'p Program>,
-        sources: Vec<RecordSource<'p>>,
+        machines: Vec<Machine<'p>>,
         cfg: CoreConfig,
         mut scratch: SimScratch,
     ) -> Self {
@@ -538,11 +478,10 @@ impl<'p> Core<'p> {
         );
         let threads: Vec<Thread<'p>> = programs
             .iter()
-            .zip(sources)
+            .zip(machines)
             .enumerate()
-            .map(|(i, (p, src))| Thread::new(i, p, rob_cap, scratch.take_thread(), src))
+            .map(|(i, (p, m))| Thread::new(i, p, rob_cap, scratch.take_thread(), m))
             .collect();
-        let bank = std::mem::take(&mut scratch.bank);
         let nthreads = threads.len();
         Core {
             mem: MemoryHierarchy::new(cfg.mem),
@@ -583,7 +522,6 @@ impl<'p> Core<'p> {
             hit_guard: false,
             watchdog_snap: None,
             poll_iters: 0,
-            scratch_bank: bank,
             cfg,
         }
     }
@@ -625,7 +563,6 @@ impl<'p> Core<'p> {
             evictions: self.evict,
             inflight_loads: self.inflight_loads,
             threads: self.threads.into_iter().map(Thread::into_scratch).collect(),
-            bank: self.scratch_bank,
         }
     }
 
@@ -645,9 +582,8 @@ impl<'p> Core<'p> {
     /// This is the whole former `run` loop with a resumable budget bolted
     /// on: all loop state lives in the core, so slicing changes *when* the
     /// host regains control, never what the model computes — a sliced run
-    /// is bit-identical to a monolithic one. [`crate::CoreBatch`] uses it
-    /// to round-robin bounded slices across lockstep members so their
-    /// shared record tape stays short.
+    /// is bit-identical to a monolithic one. Checkpointing hosts use it to
+    /// stop at a coherent point every N iterations.
     pub fn run_slice(&mut self, target_per_thread: u64, cycle_budget: u64) -> bool {
         let guard = 400 * target_per_thread + 2_000_000;
         // Deadline polling cadence: one `Instant::now()` per this many loop
@@ -764,7 +700,7 @@ impl<'p> Core<'p> {
     /// Folds the memory-hierarchy and Constable counters into the stats
     /// and builds the run's [`SimResult`]. Call exactly once, after
     /// [`Core::run_slice`] has returned `false` (done by [`Core::run`] and
-    /// by the batched driver).
+    /// by sliced hosts).
     pub fn seal_result(&mut self) -> SimResult {
         self.stats.cycles = self.now;
         // Fold hierarchy counters into the core stats.
@@ -790,15 +726,6 @@ impl<'p> Core<'p> {
             first_mismatch: self.first_mismatch,
             watchdog: self.watchdog_snap.take(),
         }
-    }
-
-    /// Oldest functional-record sequence number thread `tid` can still
-    /// re-read (the front of its pending ring, or the pull point when
-    /// nothing is in flight). A shared record tape may be trimmed up to
-    /// the minimum frontier across its live consumers.
-    pub(crate) fn record_frontier(&self, tid: usize) -> u64 {
-        let th = &self.threads[tid];
-        th.pending.front().map_or(th.pulled, |r| r.seq)
     }
 
     /// Captures the machine state the watchdog/deadline aborted on (cold
@@ -916,10 +843,7 @@ impl<'p> Core<'p> {
             }
             // Correct path: pull the next functional record.
             while th.pending.len() <= th.cursor {
-                let rec = th.source.next(th.pulled);
-                debug_assert_eq!(rec.seq, th.pulled, "record source out of sync");
-                th.pulled += 1;
-                th.pending.push_back(rec);
+                th.pending.push_back(th.machine.step());
             }
             let rec = th.pending[th.cursor];
             let inst = *th.program.inst(rec.sidx);
@@ -2476,14 +2400,13 @@ impl<'p> Thread<'p> {
     /// stream. Exhaustive destructure: adding a `Thread` field without
     /// deciding its checkpoint fate is a compile error here. `id`,
     /// `program`, and `rob_cap` are geometry re-derived by the restore
-    /// constructor; `source` and `pulled` travel in the tape section of the
+    /// constructor; `machine` travels in the tape section of the
     /// core-level stream (see [`Core::checkpoint`]).
     fn encode_state(&self, e: &mut Enc) {
         let Thread {
             id: _,
             program: _,
-            source: _,
-            pulled: _,
+            machine: _,
             pending,
             cursor,
             rob,
@@ -2625,7 +2548,7 @@ impl<'p> Core<'p> {
     /// buffers are coherent there, and only there).
     ///
     /// The checkpoint captures everything the model computes from:
-    /// functional record tapes (machine + replayable records), every
+    /// each thread's functional machine at its pull point, every
     /// per-thread queue and rename structure, the µop window slab, the
     /// completion calendar, the cache/DRAM hierarchy, every predictor, the
     /// Constable engine, and all statistics. Host-side attachments — the
@@ -2660,29 +2583,14 @@ impl<'p> Core<'p> {
             e.u64(crate::ckpt::program_fingerprint(th.program));
         }
         // Tape sections: the functional state each thread resumes pulling
-        // records from. Encoded as (pull point, replayable records, machine)
-        // — a machine that ran ahead of this core's pull point (a shared
-        // batch tape) ships the already-produced records it would otherwise
-        // have to re-execute; a private machine sits exactly at the pull
-        // point and ships none.
+        // records from, encoded as (pull point, replay-record count,
+        // machine). The machine sits exactly at the pull point, so the
+        // count is always 0; it stays in the layout so format-v1
+        // checkpoints keep their bytes.
         for th in &self.threads {
-            e.u64(th.pulled);
-            match &th.source {
-                RecordSource::Own(m) => {
-                    debug_assert_eq!(m.executed(), th.pulled, "scalar source out of sync");
-                    e.seq_len(0);
-                    m.encode(&mut e);
-                }
-                RecordSource::Shared(tape) => {
-                    let t = tape.borrow();
-                    let recs: Vec<&DynInst> = t.records_from(th.pulled).collect();
-                    e.seq_len(recs.len());
-                    for r in recs {
-                        r.encode(&mut e);
-                    }
-                    t.machine().encode(&mut e);
-                }
-            }
+            e.u64(th.machine.executed());
+            e.seq_len(0);
+            th.machine.encode(&mut e);
         }
         for th in &self.threads {
             th.encode_state(&mut e);
@@ -2765,12 +2673,9 @@ impl<'p> Core<'p> {
     /// different experiment). Continued execution is bit-identical to the
     /// original run's.
     ///
-    /// The restored core always pulls functional records from a private
-    /// replay tape, regardless of whether the checkpointed core owned its
-    /// machine or shared a batch tape — record streams are pure functions
-    /// of the program, so the source kind is invisible to the model. Hosts
-    /// that resume long runs slice-by-slice should call
-    /// [`Core::trim_tapes`] between slices to keep that tape bounded.
+    /// Each restored thread owns the private functional machine decoded
+    /// from its tape section. A nonzero replay-record count (a layout no
+    /// current writer produces) is rejected as malformed.
     pub fn restore(
         programs: Vec<&'p Program>,
         cfg: CoreConfig,
@@ -2813,33 +2718,28 @@ impl<'p> Core<'p> {
                 });
             }
         }
-        let mut pulled = Vec::with_capacity(programs.len());
-        let mut sources = Vec::with_capacity(programs.len());
+        let mut machines = Vec::with_capacity(programs.len());
         for &p in &programs {
-            let at = d.pos();
             let base = d.u64()?;
+            let at = d.pos();
             let n = d.seq_len()?;
-            let mut records = Vec::with_capacity(n);
-            for _ in 0..n {
-                records.push(DynInst::decode(d)?);
-            }
-            let machine = Machine::decode(p, d)?;
-            if base + records.len() as u64 != machine.executed() {
+            if n != 0 {
                 return Err(CkptError::Codec(CodecError::BadLength {
                     at,
                     len: n as u64,
                 }));
             }
-            pulled.push(base);
-            sources.push(RecordSource::Shared(Rc::new(RefCell::new(
-                RecordStream::from_parts(machine, records, base),
-            ))));
+            let at = d.pos();
+            let machine = Machine::decode(p, d)?;
+            if machine.executed() != base {
+                return Err(CkptError::Codec(CodecError::BadLength { at, len: base }));
+            }
+            machines.push(machine);
         }
-        let mut core = Self::build(programs, sources, cfg, scratch);
+        let mut core = Self::build(programs, machines, cfg, scratch);
         let window_len = core.window.len();
         let nthreads = core.threads.len();
-        for (tid, th) in core.threads.iter_mut().enumerate() {
-            th.pulled = pulled[tid];
+        for th in core.threads.iter_mut() {
             th.decode_state_into(window_len, d)?;
         }
         core.now = d.u64()?;
@@ -2932,24 +2832,5 @@ impl<'p> Core<'p> {
         }
         dec.finish()?;
         Ok(core)
-    }
-
-    /// Drops functional records no thread can re-read from any *privately
-    /// held* replay tape (a restored core's source, or a batch member whose
-    /// siblings have been dismantled). A tape still shared with live
-    /// sibling cores is left alone — its trim point is the minimum frontier
-    /// across all consumers, which only the batch driver knows. Hosts that
-    /// checkpoint long runs on an interval call this between slices so the
-    /// replay tape stays proportional to the in-flight window instead of
-    /// the whole run.
-    pub fn trim_tapes(&mut self) {
-        for tid in 0..self.threads.len() {
-            let keep = self.record_frontier(tid);
-            if let RecordSource::Shared(tape) = &self.threads[tid].source {
-                if Rc::strong_count(tape) == 1 {
-                    tape.borrow_mut().trim(keep);
-                }
-            }
-        }
     }
 }

@@ -16,7 +16,6 @@
 //! println!("IPC = {:.3}", result.ipc());
 //! ```
 
-mod batch;
 mod ckpt;
 mod config;
 mod core;
@@ -28,7 +27,6 @@ mod stats;
 mod trace;
 mod uop;
 
-pub use crate::batch::CoreBatch;
 pub use crate::core::{Core, SimResult};
 pub use ckpt::{CkptError, CKPT_FORMAT_VERSION};
 pub use config::CoreConfig;

@@ -396,11 +396,6 @@ pub struct SimScratch {
     /// Per-hardware-thread queue allocations (ROB, store/load rings, ready
     /// set, IDQ, fetched-ahead records), recycled across runs.
     pub(crate) threads: Vec<ThreadScratch>,
-    /// Sibling scratches for lockstep batches: [`crate::CoreBatch`] draws
-    /// members 1..N from here and returns them on recycle, so a worker
-    /// that alternates scalar and batched jobs stays allocation-free in
-    /// both modes. Carried through scalar runs untouched.
-    pub(crate) bank: Vec<SimScratch>,
 }
 
 /// Reusable per-thread queue allocations: the structures every `Thread`

@@ -53,7 +53,8 @@ fn constable_is_effective_and_not_harmful_on_stable_heavy_traces() {
     // Server traces are stable-load heavy: Constable must deliver high
     // elimination coverage and big L1-D savings at no performance cost
     // (the paper's headline gains depend on workload burstiness that the
-    // synthetic suite only partially reproduces; see EXPERIMENTS.md).
+    // synthetic suite only partially reproduces; see the fig11 function in
+    // crates/experiments/src/figures.rs and ROADMAP.md's fidelity notes).
     let spec = sim_workload::suite()
         .into_iter()
         .find(|w| w.category == sim_workload::Category::Server)

@@ -19,7 +19,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sim_core::{Core, CoreBatch, CoreConfig, TraceRecorder, TraceSummary};
+use sim_core::{Core, CoreConfig, TraceRecorder, TraceSummary};
 use sim_workload::{memory_stress, suite, WorkloadSpec};
 
 const CASES: u64 = 12;
@@ -132,110 +132,6 @@ fn shortcuts_are_trace_invisible_on_random_programs_and_configs() {
     }
 }
 
-/// Batched-vs-scalar differential: seeded random (program, config-set)
-/// cases run once as a config-lockstep [`CoreBatch`] (shared functional
-/// record tape, bounded round-robin slices) and once per-config on the
-/// scalar path, full traces compared member-by-member. A lockstep bug —
-/// a tape trimmed past a live member's frontier, slice-boundary state
-/// leaking between members, a record re-produced differently — shows up
-/// as the first diverging µop of the first diverging member.
-#[test]
-fn lockstep_batches_are_trace_identical_to_scalar_runs() {
-    let mut rng = SmallRng::seed_from_u64(0xBA7C_4ED5);
-    let mut scratch = sim_core::SimScratch::new();
-    for case in 0..CASES {
-        let spec = random_workload(&mut rng);
-        let program = spec.build();
-        let nmembers = rng.gen_range(2usize..5);
-        let cfgs: Vec<CoreConfig> = (0..nmembers).map(|_| random_config(&mut rng)).collect();
-
-        let mut batch = CoreBatch::with_scratch(vec![&program], cfgs.clone(), &mut scratch);
-        for i in 0..batch.len() {
-            batch
-                .member_mut(i)
-                .attach_tracer(TraceRecorder::with_full_trace(true));
-        }
-        let results = batch.run_all(N);
-        let batched: Vec<TraceSummary> = (0..nmembers)
-            .map(|i| batch.member_mut(i).take_trace().expect("tracer attached"))
-            .collect();
-        batch.recycle_into(&mut scratch);
-
-        for (m, ((cfg, result), fast)) in cfgs.iter().zip(&results).zip(&batched).enumerate() {
-            assert!(
-                !result.hit_cycle_guard,
-                "case {case} member {m}: cycle guard"
-            );
-            assert_eq!(
-                result.stats.golden_mismatches, 0,
-                "case {case} member {m}: golden check"
-            );
-            let scalar = traced_run(&program, cfg.clone());
-            let ctx = format!(
-                "batch case {case} member {m}/{nmembers}: workload={} constable={} eves={} \
-                 elar={} rfp={} wp={} snoop={} load_ports={} issue_w={} retire_w={} rob={}",
-                spec.name,
-                cfg.constable.is_some(),
-                cfg.eves,
-                cfg.elar,
-                cfg.rfp,
-                cfg.wrong_path_fetch,
-                cfg.snoop_rate_per_10k,
-                cfg.load_ports,
-                cfg.issue_width,
-                cfg.retire_width,
-                cfg.rob_size,
-            );
-            assert_traces_identical(fast, &scalar, &ctx);
-        }
-    }
-}
-
-/// The SMT2 flavor of the batched differential: random program pairs, the
-/// batch sharing *two* tapes (one per hardware thread). The pair member
-/// count varies per case; traces must match the scalar SMT2 runs exactly.
-#[test]
-fn lockstep_smt2_batches_are_trace_identical_to_scalar_runs() {
-    let mut rng = SmallRng::seed_from_u64(0xBA7C_5347);
-    let mut scratch = sim_core::SimScratch::new();
-    for case in 0..CASES {
-        let spec_a = random_workload(&mut rng);
-        let spec_b = random_workload(&mut rng);
-        let (pa, pb) = (spec_a.build(), spec_b.build());
-        let nmembers = rng.gen_range(2usize..4);
-        let cfgs: Vec<CoreConfig> = (0..nmembers).map(|_| random_config(&mut rng)).collect();
-
-        let mut batch = CoreBatch::with_scratch(vec![&pa, &pb], cfgs.clone(), &mut scratch);
-        for i in 0..batch.len() {
-            batch
-                .member_mut(i)
-                .attach_tracer(TraceRecorder::with_full_trace(true));
-        }
-        let results = batch.run_all(N / 2);
-        let batched: Vec<TraceSummary> = (0..nmembers)
-            .map(|i| batch.member_mut(i).take_trace().expect("tracer attached"))
-            .collect();
-        batch.recycle_into(&mut scratch);
-
-        for (m, ((cfg, result), fast)) in cfgs.iter().zip(&results).zip(&batched).enumerate() {
-            assert!(
-                !result.hit_cycle_guard,
-                "smt2 batch case {case} member {m}: cycle guard"
-            );
-            assert_eq!(
-                result.stats.golden_mismatches, 0,
-                "smt2 batch case {case} member {m}: golden check"
-            );
-            let scalar = traced_run_multi(&[&pa, &pb], cfg.clone(), N / 2);
-            let ctx = format!(
-                "smt2 batch case {case} member {m}/{nmembers}: pair=({}, {})",
-                spec_a.name, spec_b.name,
-            );
-            assert_traces_identical(fast, &scalar, &ctx);
-        }
-    }
-}
-
 /// Checkpoint/restore at seeded random mid-run points: each case draws a
 /// random (workload, config) cell — every third case an SMT2 pair — plus a
 /// random slice interval and a random boundary; the run checkpoints there,
@@ -275,7 +171,6 @@ fn checkpoint_restore_is_trace_invisible_at_random_points() {
         let mut restored = false;
         while core.run_slice(n, interval) {
             if boundary == 0 || boundary == again_at {
-                core.trim_tapes();
                 let bytes = core.checkpoint();
                 let dest = std::mem::take(&mut scratch);
                 core = Core::restore(programs.clone(), cfg.clone(), dest, &bytes)

@@ -24,7 +24,7 @@
 //!
 //! See `crates/sim-core/tests/README.md` for the row format.
 
-use sim_core::{Core, CoreBatch, CoreConfig, SimResult, TraceRecorder, TraceSummary};
+use sim_core::{Core, CoreConfig, SimResult, TraceRecorder, TraceSummary};
 use sim_workload::{memory_stress, suite, suite_subset, Program, WorkloadSpec};
 
 const N: u64 = 15_000;
@@ -362,77 +362,6 @@ fn shortcuts_disabled_match_goldens() {
     }
 }
 
-/// Config-lockstep batching: running the matrix rows as [`CoreBatch`]es —
-/// every same-(workloads, run-length) group of configs sharing one
-/// functional record tape per thread slot, exactly the shape the sweep
-/// layer builds — must reproduce the *committed* golden rows bit-for-bit.
-/// This is the tentpole lock for the fetch-once/simulate-many path: no
-/// re-bless, scratch recycled batch-to-batch, including an 11-member
-/// single-workload batch and the SMT2 two-tape pairings.
-#[test]
-fn lockstep_batches_match_goldens() {
-    let committed = read_goldens();
-    let lookup = |name: &str| {
-        committed
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("{name} missing from goldens; regenerate with: {BLESS_CMD}"))
-            .1
-            .clone()
-    };
-    let rows = matrix();
-    // Group by (workload names, run length), preserving matrix order.
-    type GroupKey = (Vec<String>, u64);
-    let mut groups: Vec<(GroupKey, Vec<&Row>)> = Vec::new();
-    for row in &rows {
-        let key = (
-            row.specs.iter().map(|s| s.name.clone()).collect::<Vec<_>>(),
-            row.n,
-        );
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => v.push(row),
-            None => groups.push((key, vec![row])),
-        }
-    }
-    let mut scratch = sim_core::SimScratch::new();
-    let mut batched_rows = 0;
-    for (_, group) in groups {
-        // Singletons (the zero-SLD guard corner and the two dedicated
-        // regression workloads) stay on the scalar path, as in the sweep.
-        if group.len() < 2 {
-            continue;
-        }
-        let programs: Vec<Program> = group[0].specs.iter().map(WorkloadSpec::build).collect();
-        let cfgs: Vec<CoreConfig> = group.iter().map(|r| r.cfg.clone()).collect();
-        let mut batch = CoreBatch::with_scratch(programs.iter().collect(), cfgs, &mut scratch);
-        for i in 0..batch.len() {
-            batch.member_mut(i).attach_tracer(TraceRecorder::new());
-        }
-        let results = batch.run_all(group[0].n);
-        for (i, (row, result)) in group.iter().zip(&results).enumerate() {
-            let trace = batch.member_mut(i).take_trace().expect("tracer attached");
-            assert!(!result.hit_cycle_guard, "{}: cycle guard", row.name);
-            assert_eq!(
-                result.stats.golden_mismatches, 0,
-                "{}: golden check",
-                row.name
-            );
-            assert_eq!(
-                golden_row(&row.name, result, &trace),
-                lookup(&row.name),
-                "{}: lockstep batching changed the trace",
-                row.name
-            );
-            batched_rows += 1;
-        }
-        batch.recycle_into(&mut scratch);
-    }
-    assert!(
-        batched_rows >= 20,
-        "batched-row coverage too thin ({batched_rows} rows)"
-    );
-}
-
 /// Slice interval (core loop iterations) for the checkpoint re-derivation
 /// passes. Small enough that every matrix row — including the n=50
 /// zero-SLD guard corner, which spins until the cycle guard — crosses at
@@ -467,7 +396,6 @@ fn checkpoint_restore_matches_goldens() {
             "{}: run too short to checkpoint mid-flight",
             row.name
         );
-        core.trim_tapes();
         let bytes = core.checkpoint();
         let dest = if i % 2 == 0 {
             sim_core::SimScratch::new()
@@ -567,7 +495,6 @@ fn fresh_process_restore_matches_goldens() {
             "{}: run too short to checkpoint mid-flight",
             row.name
         );
-        core.trim_tapes();
         let in_path = tmp.join(format!("ckpt-child-in-{}-{k}", std::process::id()));
         let out_path = tmp.join(format!("ckpt-child-out-{}-{k}", std::process::id()));
         std::fs::write(&in_path, core.checkpoint()).expect("write checkpoint bytes");

@@ -439,109 +439,6 @@ impl<'p> Machine<'p> {
     }
 }
 
-/// A shared, trimmable tape of functional records, produced on demand.
-///
-/// The record stream is a pure function of the program: record `seq` is
-/// identical no matter which consumer asks for it, or how many times.
-/// `RecordStream` exploits that to let N timing models of the *same*
-/// program (a config-lockstep sweep batch) share one [`Machine`] — one
-/// data-image clone and one functional execution feed every member —
-/// instead of each re-deriving the stream privately. Consumers pull by
-/// absolute sequence number; once every consumer has advanced past a
-/// record, [`RecordStream::trim`] drops the dead prefix so the buffer
-/// tracks the *spread* between members, not the run length.
-#[derive(Debug)]
-pub struct RecordStream<'p> {
-    machine: Machine<'p>,
-    /// Produced-but-unretired records; `buf[0]` has sequence `base`.
-    /// Invariant: `base + buf.len() == machine.executed()`.
-    buf: std::collections::VecDeque<DynInst>,
-    base: u64,
-}
-
-impl<'p> RecordStream<'p> {
-    /// Opens a stream at the program entry (sequence 0).
-    pub fn new(program: &'p Program) -> Self {
-        RecordStream {
-            machine: Machine::new(program),
-            buf: std::collections::VecDeque::new(),
-            base: 0,
-        }
-    }
-
-    /// The record with sequence number `seq`, executing forward as needed.
-    ///
-    /// # Panics
-    /// Panics (debug) if `seq` was already [`trim`](RecordStream::trim)med
-    /// away — consumers must only trim below every live cursor.
-    #[inline]
-    pub fn get(&mut self, seq: u64) -> DynInst {
-        debug_assert!(
-            seq >= self.base,
-            "record {seq} already trimmed (base {})",
-            self.base
-        );
-        while self.machine.executed() <= seq {
-            let rec = self.machine.step();
-            self.buf.push_back(rec);
-        }
-        self.buf[(seq - self.base) as usize]
-    }
-
-    /// Drops every buffered record with sequence `< keep_from`. No-op when
-    /// already trimmed at least that far.
-    pub fn trim(&mut self, keep_from: u64) {
-        while self.base < keep_from && !self.buf.is_empty() {
-            self.buf.pop_front();
-            self.base += 1;
-        }
-    }
-
-    /// Records currently buffered (production frontier minus trim point).
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Rebuilds a stream from checkpointed parts: a machine at the
-    /// production frontier, the buffered records starting at sequence
-    /// `base`, upholding `base + records.len() == machine.executed()`.
-    pub fn from_parts(machine: Machine<'p>, records: Vec<DynInst>, base: u64) -> Self {
-        assert_eq!(
-            base + records.len() as u64,
-            machine.executed(),
-            "record stream parts violate the frontier invariant"
-        );
-        RecordStream {
-            machine,
-            buf: records.into(),
-            base,
-        }
-    }
-
-    /// The functional machine at the production frontier (for checkpoints).
-    pub fn machine(&self) -> &Machine<'p> {
-        &self.machine
-    }
-
-    /// Sequence number of the first buffered record.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Buffered records with sequence `>= seq`, in order (for checkpoints).
-    ///
-    /// # Panics
-    /// Panics if `seq` was already trimmed away.
-    pub fn records_from(&self, seq: u64) -> impl Iterator<Item = &DynInst> + '_ {
-        assert!(
-            seq >= self.base,
-            "record {seq} already trimmed (base {})",
-            self.base
-        );
-        self.buf.iter().skip((seq - self.base) as usize)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,7 +23,7 @@ mod kernels;
 mod program;
 mod suite;
 
-pub use exec::{Machine, Memory, RecordStream};
+pub use exec::{Machine, Memory};
 pub use kernels::{KernelCtx, KernelKind, ARG_SLOT_DISP, MAIN_FRAME};
 pub use program::{direct_target, Label, Program, ProgramBuilder, DATA_BASE, STACK_TOP};
 pub use suite::{memory_stress, suite, suite_subset, Category, WorkloadSpec};

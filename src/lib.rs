@@ -10,8 +10,9 @@
 //! * [`sim_power`] — the event-based power model (§8.2);
 //! * [`experiments`] — one runner per paper table/figure.
 //!
-//! See `README.md` for a guided start and `EXPERIMENTS.md` for
-//! paper-vs-measured results.
+//! Paper-vs-measured results come from the figure functions in
+//! [`experiments::figures`]; `ROADMAP.md` records the current fidelity
+//! numbers and the open fidelity gap.
 
 pub use constable;
 pub use experiments;
