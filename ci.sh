@@ -150,84 +150,6 @@ if [[ "${1:-}" != "--fast" ]]; then
         exit 1
     fi
 
-    # Job-server smoke: start the sweep server on an ephemeral port, run a
-    # client figure request cold (computed) and again warm — the warm
-    # answer must come entirely from the persistent store — then drain via
-    # the shutdown frame and require a clean exit.
-    step "server smoke (cold + warm figure over the wire)"
-    srv_dir=$(mktemp -d "${TMPDIR:-/tmp}/constable-server-ci.XXXXXX")
-    trap 'rm -rf "$store_dir" "$iochaos_dir" "$ckpt_dir" "$srv_dir"; kill "${srv_pid:-}" 2>/dev/null || true' EXIT
-    ./target/release/sweep-server --addr 127.0.0.1:0 --quick --subset 2 \
-        --store-dir "$srv_dir/store" >"$srv_dir/server.log" 2>&1 &
-    srv_pid=$!
-    for _ in $(seq 1 100); do
-        grep -q "listening on " "$srv_dir/server.log" && break
-        sleep 0.1
-    done
-    srv_addr=$(awk '/listening on /{print $NF; exit}' "$srv_dir/server.log")
-    if [[ -z "$srv_addr" ]]; then
-        echo "FAIL: sweep-server never reported its address" >&2
-        cat "$srv_dir/server.log" >&2
-        exit 1
-    fi
-    ./target/release/experiments client "$srv_addr" figure fig9a >/dev/null
-    warm_client=$(./target/release/experiments client "$srv_addr" figure fig9a 2>&1 >/dev/null)
-    if ! grep -q " 0 computed, 2 from store, 0 failed" <<<"$warm_client"; then
-        echo "FAIL: warm server request was not served from the store: $warm_client" >&2
-        exit 1
-    fi
-    ./target/release/experiments client "$srv_addr" shutdown >/dev/null
-    if ! wait "$srv_pid"; then
-        echo "FAIL: sweep-server drain exited nonzero" >&2
-        cat "$srv_dir/server.log" >&2
-        exit 1
-    fi
-
-    # Net-chaos smoke: the same request loop against a server under seeded
-    # wire/worker fault injection (torn frames, disconnects, stalls,
-    # corrupt checksums, worker panics). The retrying client must still
-    # get every cell answered clean (exit 0), and the drain must still
-    # exit 0 — chaos costs retries, never answers.
-    step "server smoke (seeded net-chaos, client must exit clean)"
-    ./target/release/sweep-server --addr 127.0.0.1:0 --len 4000 --subset 2 \
-        --net-chaos 42 >"$srv_dir/chaos.log" 2>&1 &
-    srv_pid=$!
-    for _ in $(seq 1 100); do
-        grep -q "listening on " "$srv_dir/chaos.log" && break
-        sleep 0.1
-    done
-    chaos_addr=$(awk '/listening on /{print $NF; exit}' "$srv_dir/chaos.log")
-    if [[ -z "$chaos_addr" ]]; then
-        echo "FAIL: net-chaos sweep-server never reported its address" >&2
-        cat "$srv_dir/chaos.log" >&2
-        exit 1
-    fi
-    if ! ./target/release/experiments client "$chaos_addr" figure fig11 \
-        --attempts 50 --quiet >/dev/null; then
-        echo "FAIL: client under net-chaos did not come back clean" >&2
-        cat "$srv_dir/chaos.log" >&2
-        exit 1
-    fi
-    # The shutdown handshake itself can catch a wire fault; each retry is
-    # a fresh connection with its own fault roll.
-    shutdown_ok=
-    for _ in 1 2 3 4 5; do
-        if ./target/release/experiments client "$chaos_addr" shutdown >/dev/null 2>&1; then
-            shutdown_ok=1
-            break
-        fi
-    done
-    if [[ -z "$shutdown_ok" ]]; then
-        echo "FAIL: net-chaos server refused the shutdown frame 5 times" >&2
-        exit 1
-    fi
-    if ! wait "$srv_pid"; then
-        echo "FAIL: net-chaos sweep-server drain exited nonzero" >&2
-        cat "$srv_dir/chaos.log" >&2
-        exit 1
-    fi
-    srv_pid=
-
     # Golden freshness: re-running the bless generators must leave the
     # committed golden files byte-identical. The normal test run already
     # fails on digest mismatches; this additionally catches a stale or

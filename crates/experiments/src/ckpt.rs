@@ -18,22 +18,18 @@
 //! * A cell that finishes cleanly is persisted as a result, which
 //!   garbage-collects its checkpoint ([`ResultStore::put`]). A cell that
 //!   fails verification drops its checkpoint too — resuming into a failing
-//!   lineage would only reproduce the failure. A **deadline** abort keeps
-//!   the latest checkpoint: the next request for the cell resumes instead
-//!   of recomputing.
+//!   lineage would only reproduce the failure.
 //! * Chaos mode ([`crate::ChaosPlan::ckpt_kill_for`]) kills selected cells
 //!   right after a checkpoint boundary lands on disk; the rerun must
 //!   resume and reproduce the straight run's digest byte-for-byte.
 
 use result_store::{GetOutcome, ResultStore, StoreKey};
-use sim_core::{Core, CoreConfig, FreezeCause, SimResult, SimScratch};
+use sim_core::{Core, CoreConfig, SimResult, SimScratch};
 use sim_workload::Program;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-/// Shared handle to the session's store slot (the sweep engine and the job
-/// server both keep the store behind `Arc<Mutex<Option<_>>>` so pool
-/// workers and shards can reach it).
+/// Shared handle to the session's store slot: the sweep engine keeps the
+/// store behind `Arc<Mutex<Option<_>>>` so every pool worker can reach it.
 pub type SharedStore = Arc<Mutex<Option<ResultStore>>>;
 
 /// Default checkpoint interval: core loop iterations per slice. Coarse
@@ -124,8 +120,7 @@ impl Checkpointer {
 /// Runs one cell to completion with interval checkpointing: restore from
 /// the newest verified checkpoint if one exists (else build fresh from
 /// `scratch`), then alternate bounded slices with checkpoint writes.
-/// Returns the sealed result, the recycled scratch, and whether the run
-/// resumed from a checkpoint.
+/// Returns the sealed result and the recycled scratch.
 ///
 /// The result is bit-identical to `Core::run(target)` — slicing changes
 /// when the host regains control, never what the model computes, and a
@@ -136,8 +131,7 @@ pub fn run_checkpointed(
     scratch: SimScratch,
     target: u64,
     ckpt: &Checkpointer,
-    deadline: Option<Instant>,
-) -> (SimResult, SimScratch, bool) {
+) -> (SimResult, SimScratch) {
     let (mut core, resumed) = match ckpt.load() {
         Some(bytes) => match Core::restore(programs.to_vec(), cfg.clone(), scratch, &bytes) {
             Ok(core) => (core, true),
@@ -158,9 +152,6 @@ pub fn run_checkpointed(
             false,
         ),
     };
-    if let Some(at) = deadline {
-        core.set_deadline(at);
-    }
     let mut boundary: u64 = 0;
     let result = loop {
         if !core.run_slice(target, ckpt.interval) {
@@ -172,16 +163,9 @@ pub fn run_checkpointed(
         }
         boundary += 1;
     };
-    let failed = result.verify().is_err();
-    let deadline_abort = result
-        .watchdog
-        .as_ref()
-        .is_some_and(|w| w.cause == FreezeCause::Deadline);
-    if failed && !deadline_abort {
+    if result.verify().is_err() {
         // Watchdog/golden failures: resuming would reproduce the failure.
-        // (A deadline abort keeps its checkpoint — that is the resume point
-        // the next request continues from.)
         ckpt.remove();
     }
-    (result, core.into_scratch(), resumed)
+    (result, core.into_scratch())
 }

@@ -49,17 +49,14 @@ pub mod ckpt;
 pub mod configs;
 pub mod fault;
 pub mod figures;
-pub mod jobs;
 pub mod persist;
 pub mod runner;
 pub mod sweep;
-pub mod wire;
 
 pub use chaos::{ChaosFault, ChaosPlan};
 pub use ckpt::{run_checkpointed, Checkpointer, SharedStore, CKPT_INTERVAL_DEFAULT};
 pub use configs::MachineKind;
 pub use fault::{CellFailure, CellOutcome};
-pub use jobs::{figure_cells, figure_kinds, sweep_cells, CellSpec, JobContext};
 pub use persist::{decode_outcome, encode_outcome, store_key, PAYLOAD_VERSION};
 pub use runner::{run_one, run_suite, run_suite_smt2, RunLength, RunOutcome, WATCHDOG_BUDGET};
 pub use sweep::{MkOracleConfig, MkPairConfig, SweepPool, SweepSession};
@@ -92,6 +89,47 @@ pub const FIGURES: &[&str] = &[
     "xprf",
     "verify",
 ];
+
+/// The machine suites a figure id sweeps, for figures whose work *is* a
+/// plain (workload × machine) matrix. Figures built from instrumented or
+/// parameter-swept runs (fig6, fig17, fig20a/b, amt-granularity, xprf, the
+/// static tables) are not cell-mappable and return `None`.
+pub fn figure_kinds(id: &str) -> Option<&'static [MachineKind]> {
+    use MachineKind::*;
+    Some(match id {
+        "fig7" => &[
+            Baseline,
+            IdealStableLvp,
+            IdealStableLvpNoFetch,
+            DoubleLoadWidth,
+            IdealConstable,
+        ],
+        "fig9a" => &[Constable],
+        "fig9b" => &[Constable, ConstableCorrectPathOnly],
+        "fig11" | "fig14" | "fig15" | "fig16" => {
+            &[Baseline, Eves, Constable, EvesConstable, EvesIdealConstable]
+        }
+        "fig12" => &[Baseline, Eves, Constable, EvesConstable],
+        "fig13" => &[
+            Baseline,
+            Constable,
+            ConstableOnly(sim_isa::AddrMode::PcRelative),
+            ConstableOnly(sim_isa::AddrMode::StackRelative),
+            ConstableOnly(sim_isa::AddrMode::RegRelative),
+        ],
+        "fig18" | "fig19" | "fig23" | "fig24" => &[Baseline, Constable],
+        "fig21" => &[Baseline, Elar, Rfp, Constable, ElarConstable, RfpConstable],
+        "fig22" => &[Baseline, Constable, ConstableAmtI],
+        "verify" => &[
+            Baseline,
+            Constable,
+            EvesConstable,
+            ConstableAmtI,
+            ConstableFullAddrAmt,
+        ],
+        _ => return None,
+    })
+}
 
 /// Runs the figure named `id` against `session` and returns its report, or
 /// the first quarantined cell that kept it from completing (every other
@@ -138,4 +176,28 @@ pub fn try_run_figure(id: &str, session: &SweepSession<'_>) -> Result<String, Ce
 /// Panics on an unknown id or any quarantined cell.
 pub fn run_figure(id: &str, session: &SweepSession<'_>) -> String {
     try_run_figure(id, session).unwrap_or_else(|f| panic!("figure {id}: {f}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_kinds_maps_only_figure_ids() {
+        let mapped = [
+            "fig7", "fig9a", "fig9b", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+            "fig18", "fig19", "fig21", "fig22", "fig23", "fig24", "verify",
+        ];
+        for id in mapped {
+            assert!(FIGURES.contains(&id), "{id} maps but is not a figure id");
+            assert!(!figure_kinds(id).expect("maps").is_empty(), "{id}");
+        }
+        let in_figures = FIGURES.iter().filter(|id| figure_kinds(id).is_some());
+        assert_eq!(in_figures.count(), mapped.len());
+        let fig11 = figure_kinds("fig11").expect("fig11 maps");
+        assert_eq!(fig11.len(), 5);
+        assert!(fig11.contains(&MachineKind::EvesIdealConstable));
+        assert!(figure_kinds("fig6").is_none(), "fig6 is not a matrix");
+        assert!(figure_kinds("nope").is_none());
+    }
 }

@@ -3,8 +3,7 @@
 //! ```text
 //! experiments -- <figure-id> [<figure-id>...] [--quick] [--subset N]
 //! experiments -- all [--quick] [--chaos <seed>]
-//! experiments -- cell <workload> <machine-slug> [--depth-scale X] [--quick|--len N]
-//! experiments -- client <addr> <request...>   # talk to a sweep-server
+//! experiments -- cell <workload>[+<workload>] <machine-slug> [--depth-scale X] [--quick|--len N]
 //! experiments -- list
 //! ```
 //!
@@ -55,16 +54,19 @@ const EX_USAGE: i32 = 64;
 const USAGE: &str = "usage: experiments -- <figure-id>|all [--quick] [--subset N] [--uncached] \
      [--keep-going|--fail-fast] [--chaos <seed>] [--store-dir <path>] [--io-chaos <seed>] \
      [--ckpt-interval <iters>]
-       experiments -- cell <workload> <machine-slug> [--depth-scale X] [--quick|--len N]
-       experiments -- client <addr> cell <workload> <slug> | figure <id> | sweep | ping \
-     | shutdown [--deadline-ms N] [--attempts N] [--quiet]
+       experiments -- cell <workload>[+<workload>] <machine-slug> [--depth-scale X] \
+     [--quick|--len N]
        experiments -- list";
 
-const CELL_USAGE: &str =
-    "usage: experiments -- cell <workload> <machine-slug> [--depth-scale X] [--quick|--len N]";
+const CELL_USAGE: &str = "usage: experiments -- cell <workload>[+<workload>] <machine-slug> \
+     [--depth-scale X] [--quick|--len N]
+  <workload>: one suite workload, or two joined with `+` for an SMT2 pair
+  --depth-scale X: window-size factor, finite and in (0, 16]";
 
-const CLIENT_USAGE: &str = "usage: experiments -- client <addr> cell <workload> <slug> | \
-     figure <id> | sweep | ping | shutdown [--deadline-ms N] [--attempts N] [--quiet]";
+/// Largest `--depth-scale` the `cell` subcommand accepts: far above the
+/// deepest window any figure sweeps, far below where the scaled window
+/// stops fitting in memory.
+const MAX_DEPTH_SCALE: f64 = 16.0;
 
 /// Prints `msg` (when non-empty) and `usage` to stderr and exits with
 /// [`EX_USAGE`].
@@ -108,9 +110,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("cell") {
         std::process::exit(run_cell(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("client") {
-        std::process::exit(run_client(&args[1..]));
     }
     let mut ids: Vec<String> = Vec::new();
     let mut n = RunLength::full();
@@ -313,7 +312,15 @@ fn run_cell(args: &[String]) -> i32 {
             "--len" => {
                 n = RunLength(flag_value(args, &mut i, "an instruction count", CELL_USAGE));
             }
-            "--depth-scale" => depth = flag_value(args, &mut i, "a number", CELL_USAGE),
+            "--depth-scale" => {
+                depth = flag_value(args, &mut i, "a number", CELL_USAGE);
+                if !(depth > 0.0 && depth <= MAX_DEPTH_SCALE) {
+                    usage_error(
+                        &format!("--depth-scale {depth} is outside (0, {MAX_DEPTH_SCALE}]"),
+                        CELL_USAGE,
+                    );
+                }
+            }
             other if workload.is_none() => workload = Some(other.to_string()),
             other if slug.is_none() => slug = Some(other.to_string()),
             other => usage_error(&format!("unexpected argument {other:?}"), CELL_USAGE),
@@ -344,6 +351,15 @@ fn run_cell(args: &[String]) -> i32 {
     };
     // An SMT2 pair cell is named "a+b"; a single workload runs one thread.
     let names: Vec<&str> = workload.split('+').collect();
+    if names.len() > 2 {
+        usage_error(
+            &format!(
+                "{workload:?} names {} workloads; a cell runs one, or an SMT2 pair",
+                names.len()
+            ),
+            CELL_USAGE,
+        );
+    }
     let cell_specs: Vec<&sim_workload::WorkloadSpec> =
         names.iter().map(|&name| by_name(name)).collect();
     let programs: Vec<_> = cell_specs.iter().map(|s| s.build()).collect();
@@ -417,8 +433,7 @@ fn run_cell(args: &[String]) -> i32 {
 /// already holds this cell and whether the stored digest matches the run
 /// just performed — the provenance line a quarantine investigation starts
 /// from. The probe opens the store *shared* (read-through, no healing, no
-/// lock), so it is safe beside a live server or sweep on the same
-/// directory.
+/// lock), so it is safe beside a live sweep on the same directory.
 fn print_store_provenance(store_key: &result_store::StoreKey, fresh_digest: u64) {
     let Some(dir) = std::env::var("SIM_STORE").ok().filter(|s| !s.is_empty()) else {
         return;
@@ -460,124 +475,6 @@ fn print_store_provenance(store_key: &result_store::StoreKey, fresh_digest: u64)
                  recompute",
                 d.kind.slug()
             );
-        }
-    }
-}
-
-/// `experiments -- client <addr> <request> [--deadline-ms N] [--attempts N]
-/// [--quiet]`: drive a sweep-server over the checksummed frame protocol
-/// ([`experiments::wire`]), retrying through backpressure and wire damage.
-/// Requests: `cell <workload> <slug>`, `figure <id>`, `sweep`, `ping`,
-/// `shutdown`. Exit codes mirror the sweep: 0 every cell clean, 2 failed
-/// cells in the answer, 3 any watchdog/deadline abort, 4 transport gave up,
-/// 64 usage error.
-fn run_client(args: &[String]) -> i32 {
-    use experiments::wire;
-    let mut positional: Vec<String> = Vec::new();
-    let mut deadline_ms: u32 = 0;
-    let mut attempts: u32 = 10;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--deadline-ms" => {
-                deadline_ms = flag_value(args, &mut i, "a millisecond count", CLIENT_USAGE);
-            }
-            "--attempts" => attempts = flag_value(args, &mut i, "a count", CLIENT_USAGE),
-            "--quiet" => quiet = true,
-            other => positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let Some((addr, request)) = positional.split_first() else {
-        usage_error("", CLIENT_USAGE);
-    };
-    let frame = match request {
-        [cmd, workload, slug] if cmd == "cell" => wire::Frame::Job {
-            workload: workload.clone(),
-            slug: slug.clone(),
-            deadline_ms,
-        },
-        [cmd, id] if cmd == "figure" => wire::Frame::Figure {
-            id: id.clone(),
-            deadline_ms,
-        },
-        [cmd] if cmd == "sweep" => wire::Frame::Sweep { deadline_ms },
-        [cmd] if cmd == "ping" => {
-            return match wire::send_ping(addr, 0x5157_4545) {
-                Ok(()) => {
-                    println!("server at {addr} is alive");
-                    0
-                }
-                Err(e) => {
-                    eprintln!("ping failed: {e}");
-                    4
-                }
-            };
-        }
-        [cmd] if cmd == "shutdown" => {
-            return match wire::send_shutdown(addr) {
-                Ok(()) => {
-                    println!("server at {addr} is draining");
-                    0
-                }
-                Err(e) => {
-                    eprintln!("shutdown failed: {e}");
-                    4
-                }
-            };
-        }
-        _ => usage_error("", CLIENT_USAGE),
-    };
-    let started = std::time::Instant::now();
-    match wire::run_request(addr, &frame, attempts) {
-        Ok(report) => {
-            if !quiet {
-                for c in &report.cells {
-                    match c.status {
-                        wire::CellStatus::Computed => println!(
-                            "{} {}: {} cycles, {} retired, digest {:#018x} (computed)",
-                            c.workload, c.slug, c.cycles, c.retired, c.stats_digest
-                        ),
-                        wire::CellStatus::FromStore => println!(
-                            "{} {}: {} cycles, {} retired, digest {:#018x} (store)",
-                            c.workload, c.slug, c.cycles, c.retired, c.stats_digest
-                        ),
-                        wire::CellStatus::Failed => println!(
-                            "{} {}: FAILED [{}] {}",
-                            c.workload, c.slug, c.fail_kind, c.detail
-                        ),
-                    }
-                }
-            }
-            eprintln!(
-                "[{} cell(s): {} computed, {} from store, {} failed; {} attempt(s), {:.1}s]",
-                report.total,
-                report.computed,
-                report.from_store,
-                report.failed,
-                report.attempts,
-                started.elapsed().as_secs_f64()
-            );
-            let failed: Vec<_> = report
-                .cells
-                .iter()
-                .filter(|c| c.status == wire::CellStatus::Failed)
-                .collect();
-            if failed.is_empty() {
-                0
-            } else if failed
-                .iter()
-                .any(|c| c.fail_kind == "watchdog" || c.fail_kind == "deadline")
-            {
-                3
-            } else {
-                2
-            }
-        }
-        Err(e) => {
-            eprintln!("request failed after {attempts} attempt(s): {e}");
-            4
         }
     }
 }

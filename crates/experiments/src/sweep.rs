@@ -19,8 +19,7 @@
 //!   runs across fig11/fig12/fig13/… the same way.
 //! * **One cell runner** — every missing cell (single-thread or SMT2,
 //!   plain or checkpointed, chaos-faulted or not) runs through
-//!   [`run_cell`], the same function the job server's
-//!   [`crate::JobContext`] calls.
+//!   [`run_cell`].
 //! * **Persistent pool** — one set of worker threads (each owning a
 //!   [`SimScratch`]) lives for the whole session. A figure's entire
 //!   (workload × config) matrix is submitted as a single flat job list, so
@@ -47,7 +46,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// A unit of pool work: runs on whichever worker steals it first, with that
 /// worker's long-lived scratch.
@@ -848,7 +846,7 @@ impl<'s> SweepSession<'s> {
                     let cfg = cfg.clone();
                     let job: BatchJob<CellOutcome> = Box::new(move |scratch| {
                         let programs: Vec<&Program> = programs.iter().map(Arc::as_ref).collect();
-                        let cell = run_cell(
+                        run_cell(
                             &programs,
                             &name,
                             category,
@@ -857,10 +855,8 @@ impl<'s> SweepSession<'s> {
                             fp,
                             fault,
                             ckpt.as_ref(),
-                            None,
                             scratch,
-                        );
-                        cell.0
+                        )
                     });
                     job
                 })
@@ -989,16 +985,14 @@ impl<'s> SweepSession<'s> {
 }
 
 /// Runs one (workload, machine) cell: the single path every sweep cell
-/// and every job-server cell takes. `programs` holds one program per
-/// hardware thread (two for an SMT2 pair), and each thread retires
-/// `n / programs.len()` instructions. `fp` is the logical fingerprint the
-/// memo and the failure registry file the cell under, computed before the
-/// watchdog, chaos and deadline knobs applied here (harness
-/// instrumentation, not machine identity). With `ckpt`, the run resumes
-/// from the cell's newest checkpoint and snapshots at every interval
-/// boundary — bit-identical to the straight run. Verification is per cell:
-/// a failing run returns its quarantine bundle. Also returns whether the
-/// run resumed from a checkpoint.
+/// takes. `programs` holds one program per hardware thread (two for an
+/// SMT2 pair), and each thread retires `n / programs.len()` instructions.
+/// `fp` is the logical fingerprint the memo and the failure registry file
+/// the cell under, computed before the watchdog and chaos knobs applied
+/// here (harness instrumentation, not machine identity). With `ckpt`, the
+/// run resumes from the cell's newest checkpoint and snapshots at every
+/// interval boundary — bit-identical to the straight run. Verification is
+/// per cell: a failing run returns its quarantine bundle.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cell(
     programs: &[&Program],
@@ -1009,9 +1003,8 @@ pub(crate) fn run_cell(
     fp: u64,
     fault: Option<ChaosFault>,
     ckpt: Option<&Checkpointer>,
-    deadline: Option<Instant>,
     scratch: &mut SimScratch,
-) -> (CellOutcome, bool) {
+) -> CellOutcome {
     if fault == Some(ChaosFault::Panic) {
         panic!("chaos: injected worker panic ({name})");
     }
@@ -1023,21 +1016,17 @@ pub(crate) fn run_cell(
         cfg.wedge_after_retire = Some(per_thread / 2);
     }
     let s = std::mem::take(scratch);
-    let (mut result, resumed) = match ckpt {
+    let mut result = match ckpt {
         Some(ckpt) => {
-            let (result, s, resumed) =
-                ckpt::run_checkpointed(programs, &cfg, s, per_thread, ckpt, deadline);
+            let (result, s) = ckpt::run_checkpointed(programs, &cfg, s, per_thread, ckpt);
             *scratch = s;
-            (result, resumed)
+            result
         }
         None => {
             let mut core = Core::new_multi_with_scratch(programs.to_vec(), cfg, s);
-            if let Some(at) = deadline {
-                core.set_deadline(at);
-            }
             let result = core.run(per_thread);
             *scratch = core.into_scratch();
-            (result, false)
+            result
         }
     };
     if fault == Some(ChaosFault::CorruptDigest) {
@@ -1045,15 +1034,14 @@ pub(crate) fn run_cell(
         // without touching the (shared, memoized) simulation inputs.
         result.stats.golden_mismatches += 1;
     }
-    let outcome = match result.verify() {
+    match result.verify() {
         Ok(()) => Ok(RunOutcome {
             workload: name.to_string(),
             category,
             result,
         }),
         Err(e) => Err(CellFailure::from_error(name, fp, n, &e, fault.is_some())),
-    };
-    (outcome, resumed)
+    }
 }
 
 #[cfg(test)]

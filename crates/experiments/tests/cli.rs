@@ -41,6 +41,8 @@ fn unknown_figure_id_exits_64() {
     assert_usage_error(&["nope"]);
     // Validated before any figure runs, even behind a valid id.
     assert_usage_error(&["fig11", "nope", "--quick"]);
+    // `client` is not a subcommand, so it is an unknown figure id.
+    assert_usage_error(&["client", "127.0.0.1:1", "ping"]);
 }
 
 #[test]
@@ -50,4 +52,11 @@ fn missing_or_malformed_flag_values_exit_64() {
     assert_usage_error(&["fig11", "--ckpt-interval", "0"]);
     assert_usage_error(&["cell", "x", "baseline", "--len"]);
     assert_usage_error(&["cell", "x", "baseline", "--depth-scale", "deep"]);
+    // A cell runs one workload or an SMT2 pair, never three threads.
+    let three = "sysmark-chrome.t1+sysmark-chrome.t1+sysmark-chrome.t1";
+    assert_usage_error(&["cell", three, "baseline", "--len", "3000"]);
+    // The window scale must be finite and in (0, 16].
+    for scale in ["inf", "NaN", "0", "-1", "1e9"] {
+        assert_usage_error(&["cell", "x", "baseline", "--depth-scale", scale]);
+    }
 }

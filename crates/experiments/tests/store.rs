@@ -209,3 +209,39 @@ fn cell_subcommand_prints_a_cross_process_stable_store_key() {
     assert_eq!(a, b, "store key must be identical across processes");
     assert!(a.contains("format v1"), "{a}");
 }
+
+/// `SIM_STORE` makes `cell` probe the store *shared* for the cell it just
+/// ran. After a sweep populated the store, the probe must find the cell
+/// under the same key and agree with the fresh run's digest — a MISS
+/// means the `cell` key drifted from the sweep's key.
+#[test]
+fn cell_store_probe_hits_a_sweep_populated_store() {
+    let dir = tmp_store("probe");
+    let sweep = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig11", "--quick", "--subset", "2", "--store-dir"])
+        .arg(&dir)
+        .env_remove("SIM_STORE")
+        .env_remove("SIM_IO_CHAOS")
+        .env_remove("SIM_CKPT_INTERVAL")
+        .output()
+        .expect("binary runs");
+    assert!(sweep.status.success(), "sweep: {}", stderr(&sweep));
+
+    let workload = &sim_workload::suite_subset(2)[0].name;
+    let cell = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["cell", workload, "constable", "--quick"])
+        .env("SIM_STORE", &dir)
+        .env_remove("SIM_IO_CHAOS")
+        .env_remove("SIM_CKPT_INTERVAL")
+        .output()
+        .expect("binary runs");
+    assert!(cell.status.success(), "cell: {}", stderr(&cell));
+    let text = stdout(&cell);
+    let probe = text
+        .lines()
+        .find(|l| l.starts_with("store probe:"))
+        .unwrap_or_else(|| panic!("no store probe line:\n{text}"));
+    assert!(probe.contains("store probe: HIT"), "{probe}");
+    assert!(probe.contains("matches this run"), "{probe}");
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -396,13 +396,6 @@ pub struct Core<'p> {
     /// Cycle of the most recent retirement, any thread (forward-progress
     /// watchdog input; only read when `cfg.watchdog_no_retire` is set).
     last_retire_cycle: u64,
-    /// Wall-clock deadline for the whole run, if one was attached with
-    /// [`Core::set_deadline`]: polled every few thousand loop iterations
-    /// (one `Instant::now()` call, invisible on the hot path), and on
-    /// expiry the run aborts through the watchdog freeze path with
-    /// [`crate::fault::FreezeCause::Deadline`]. `None` (and free) outside
-    /// deadline-carrying server requests.
-    deadline: Option<std::time::Instant>,
     /// Attached scheduling-trace recorder (see [`crate::trace`]); `None`
     /// (and therefore free) outside the trace-oracle tests.
     tracer: Option<TraceRecorder>,
@@ -411,13 +404,10 @@ pub struct Core<'p> {
     /// an environment lookup per misprediction event.
     vp_debug: bool,
     /// Sliced-run abort state, carried across [`Core::run_slice`] calls:
-    /// set when the cycle guard trips / the watchdog or deadline freezes,
+    /// set when the cycle guard trips / the watchdog freezes,
     /// consumed by [`Core::seal_result`].
     hit_guard: bool,
     watchdog_snap: Option<crate::fault::FrozenSnapshot>,
-    /// Deadline poll cadence counter (persists across slices so the
-    /// polling rate is independent of slice length).
-    poll_iters: u64,
 }
 
 // Thin alias so the field reads naturally.
@@ -516,24 +506,12 @@ impl<'p> Core<'p> {
             issue_seq: 0,
             first_mismatch: None,
             last_retire_cycle: 0,
-            deadline: None,
             tracer: None,
             vp_debug: std::env::var_os("SIM_VP_DEBUG").is_some(),
             hit_guard: false,
             watchdog_snap: None,
-            poll_iters: 0,
             cfg,
         }
-    }
-
-    /// Attaches a wall-clock deadline to the next [`Core::run`]: once it
-    /// passes, the run aborts cleanly with a frozen snapshot whose
-    /// [`SimError::kind`](crate::SimError::kind) is `"deadline"` — the
-    /// abandonment path a serving layer uses for per-request budgets. The
-    /// timed-out core is dismantled like any watchdog abort (scratch
-    /// recoverable via [`Core::into_scratch`]); nothing leaks.
-    pub fn set_deadline(&mut self, at: std::time::Instant) {
-        self.deadline = Some(at);
     }
 
     /// Attaches a scheduling-trace recorder; the next [`Core::run`] feeds
@@ -576,7 +554,7 @@ impl<'p> Core<'p> {
     /// Advances the model by at most `cycle_budget` loop iterations toward
     /// `target_per_thread` retired instructions per thread. Returns `true`
     /// while the run needs more slices, `false` once it finished (target
-    /// reached, cycle guard, watchdog, or deadline — recorded in fields
+    /// reached, cycle guard, or watchdog — recorded in fields
     /// that [`Core::seal_result`] consumes).
     ///
     /// This is the whole former `run` loop with a resumable budget bolted
@@ -586,10 +564,6 @@ impl<'p> Core<'p> {
     /// stop at a coherent point every N iterations.
     pub fn run_slice(&mut self, target_per_thread: u64, cycle_budget: u64) -> bool {
         let guard = 400 * target_per_thread + 2_000_000;
-        // Deadline polling cadence: one `Instant::now()` per this many loop
-        // iterations. Coarse enough to be invisible, fine enough that an
-        // expired request is abandoned within a few milliseconds.
-        const DEADLINE_POLL_MASK: u64 = 8191;
         let mut spent: u64 = 0;
         while self.threads.iter().any(|t| t.retired < target_per_thread) {
             if spent >= cycle_budget {
@@ -671,23 +645,9 @@ impl<'p> Core<'p> {
             // abort instead of spinning to the much larger cycle guard.
             if let Some(budget) = self.cfg.watchdog_no_retire {
                 if self.now - self.last_retire_cycle > budget {
-                    self.watchdog_snap =
-                        Some(self.freeze_snapshot(crate::fault::FreezeCause::NoRetire));
+                    self.watchdog_snap = Some(self.freeze_snapshot());
                     return false;
                 }
-            }
-            // Wall-clock deadline hook, beside the watchdog: polled on a
-            // coarse iteration cadence so healthy runs pay one branch on a
-            // `None` option per cycle and nothing else.
-            if let Some(at) = self.deadline {
-                // Polling at iteration 0 means an already-expired budget
-                // aborts before any work, however short the run.
-                if self.poll_iters & DEADLINE_POLL_MASK == 0 && std::time::Instant::now() >= at {
-                    self.watchdog_snap =
-                        Some(self.freeze_snapshot(crate::fault::FreezeCause::Deadline));
-                    return false;
-                }
-                self.poll_iters += 1;
             }
             if self.now >= guard {
                 self.hit_guard = true;
@@ -728,11 +688,9 @@ impl<'p> Core<'p> {
         }
     }
 
-    /// Captures the machine state the watchdog/deadline aborted on (cold
-    /// path).
-    fn freeze_snapshot(&self, cause: crate::fault::FreezeCause) -> crate::fault::FrozenSnapshot {
+    /// Captures the machine state the watchdog aborted on (cold path).
+    fn freeze_snapshot(&self) -> crate::fault::FrozenSnapshot {
         crate::fault::FrozenSnapshot {
-            cause,
             cycle: self.now,
             last_retire_cycle: self.last_retire_cycle,
             retired_per_thread: self.threads.iter().map(|t| t.retired).collect(),
@@ -2551,11 +2509,10 @@ impl<'p> Core<'p> {
     /// each thread's functional machine at its pull point, every
     /// per-thread queue and rename structure, the µop window slab, the
     /// completion calendar, the cache/DRAM hierarchy, every predictor, the
-    /// Constable engine, and all statistics. Host-side attachments — the
-    /// wall-clock deadline, a frozen watchdog snapshot, pacing counters —
-    /// are deliberately *not* state of the model and are dropped: a
-    /// restored core re-runs [`Core::run_slice`] under the host's fresh
-    /// deadline/watchdog policy.
+    /// Constable engine, and all statistics. A frozen watchdog snapshot is
+    /// host-side forensics, deliberately *not* state of the model, and is
+    /// dropped: a restored core re-runs [`Core::run_slice`] under the
+    /// host's fresh watchdog policy.
     ///
     /// Restoring with [`Core::restore`] under the same config and programs
     /// yields a core whose continued execution is bit-identical to this

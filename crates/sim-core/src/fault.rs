@@ -63,25 +63,13 @@ impl std::fmt::Display for GoldenMismatch {
     }
 }
 
-/// Why the run loop froze a snapshot and aborted the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FreezeCause {
-    /// The forward-progress watchdog: no thread retired anything for the
-    /// configured budget ([`crate::CoreConfig::watchdog_no_retire`]).
-    NoRetire,
-    /// The wall-clock deadline attached with [`crate::Core::set_deadline`]
-    /// expired before the run reached its retirement target. The machine
-    /// itself may be perfectly healthy — the *request* ran out of budget.
-    Deadline,
-}
-
-/// Machine state frozen by the forward-progress watchdog (or the wall-clock
-/// deadline hook beside it) when it aborted a run: enough to tell *where*
-/// the pipeline stopped without keeping the whole core alive.
+/// Machine state frozen by the forward-progress watchdog when no thread
+/// retired anything for the configured budget
+/// ([`crate::CoreConfig::watchdog_no_retire`]) and it aborted the run:
+/// enough to tell *where* the pipeline stopped without keeping the whole
+/// core alive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenSnapshot {
-    /// What aborted the run (wedge watchdog vs. request deadline).
-    pub cause: FreezeCause,
     /// Cycle the watchdog fired.
     pub cycle: u64,
     /// Cycle of the last retirement (any thread).
@@ -99,23 +87,16 @@ pub struct FrozenSnapshot {
 
 impl std::fmt::Display for FrozenSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.cause {
-            FreezeCause::NoRetire => write!(
-                f,
-                "no retirement for {} cycles (frozen at cycle {}; retired {:?}; rob {:?}; heads {:?}; next event {:?})",
-                self.cycle - self.last_retire_cycle,
-                self.cycle,
-                self.retired_per_thread,
-                self.rob_occupancy,
-                self.rob_head,
-                self.next_event,
-            ),
-            FreezeCause::Deadline => write!(
-                f,
-                "wall-clock deadline expired (frozen at cycle {}; last retire {}; retired {:?}; rob {:?})",
-                self.cycle, self.last_retire_cycle, self.retired_per_thread, self.rob_occupancy,
-            ),
-        }
+        write!(
+            f,
+            "no retirement for {} cycles (frozen at cycle {}; retired {:?}; rob {:?}; heads {:?}; next event {:?})",
+            self.cycle - self.last_retire_cycle,
+            self.cycle,
+            self.retired_per_thread,
+            self.rob_occupancy,
+            self.rob_head,
+            self.next_event,
+        )
     }
 }
 
@@ -134,23 +115,17 @@ pub enum SimError {
         cycle: u64,
         retired_per_thread: Vec<u64>,
     },
-    /// The forward-progress watchdog (or the wall-clock deadline hook
-    /// beside it — see the snapshot's [`FreezeCause`]) aborted the run.
+    /// The forward-progress watchdog aborted the run.
     Watchdog(FrozenSnapshot),
 }
 
 impl SimError {
-    /// Short stable label for tables and exit-code mapping. A deadline
-    /// abort reports `"deadline"` — a client-imposed budget, not a machine
-    /// wedge — so it never maps to the watchdog exit code 3.
+    /// Short stable label for tables and exit-code mapping.
     pub fn kind(&self) -> &'static str {
         match self {
             SimError::GoldenMismatch { .. } => "golden-mismatch",
             SimError::CycleGuard { .. } => "cycle-guard",
-            SimError::Watchdog(snap) => match snap.cause {
-                FreezeCause::NoRetire => "watchdog",
-                FreezeCause::Deadline => "deadline",
-            },
+            SimError::Watchdog(_) => "watchdog",
         }
     }
 }
@@ -210,7 +185,6 @@ mod tests {
     #[test]
     fn watchdog_display_names_the_stall() {
         let e = SimError::Watchdog(FrozenSnapshot {
-            cause: FreezeCause::NoRetire,
             cycle: 60_000,
             last_retire_cycle: 10_000,
             retired_per_thread: vec![123],
@@ -221,21 +195,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("no retirement for 50000 cycles"), "{s}");
         assert_eq!(e.kind(), "watchdog");
-    }
-
-    #[test]
-    fn deadline_freezes_report_their_own_kind() {
-        let e = SimError::Watchdog(FrozenSnapshot {
-            cause: FreezeCause::Deadline,
-            cycle: 1_000,
-            last_retire_cycle: 990,
-            retired_per_thread: vec![500],
-            rob_occupancy: vec![12],
-            rob_head: vec![Some((0x400, "Issued"))],
-            next_event: Some(1_004),
-        });
-        let s = e.to_string();
-        assert!(s.contains("deadline expired"), "{s}");
-        assert_eq!(e.kind(), "deadline");
     }
 }

@@ -30,7 +30,7 @@ mod uop;
 pub use crate::core::{Core, SimResult};
 pub use ckpt::{CkptError, CKPT_FORMAT_VERSION};
 pub use config::CoreConfig;
-pub use fault::{FreezeCause, FrozenSnapshot, GoldenMismatch, SimError};
+pub use fault::{FrozenSnapshot, GoldenMismatch, SimError};
 pub use hash::FastHashMap;
 pub use sched::SimScratch;
 pub use sim_mem::TraceDigest;

@@ -65,48 +65,6 @@ fn wedge_without_watchdog_falls_through_to_the_cycle_guard() {
     assert_eq!(err.kind(), "cycle-guard");
 }
 
-/// An already-expired wall-clock deadline must abort the run promptly with
-/// a snapshot whose kind is "deadline" (not "watchdog" — a deadline is a
-/// request budget, not a machine wedge), and the core must still dismantle
-/// cleanly into its scratch.
-#[test]
-fn expired_deadline_aborts_with_its_own_kind() {
-    let spec = &suite_subset(2)[0];
-    let program = spec.build();
-    let mut core = Core::new(&program, CoreConfig::golden_cove_like());
-    core.set_deadline(std::time::Instant::now());
-    let r = core.run(50_000_000); // far beyond what the deadline allows
-    let err = r
-        .verify()
-        .expect_err("expired deadline must not verify clean");
-    assert_eq!(err.kind(), "deadline");
-    let sim_core::SimError::Watchdog(snap) = err else {
-        unreachable!()
-    };
-    assert_eq!(snap.cause, sim_core::FreezeCause::Deadline);
-    assert!(snap.retired_per_thread[0] < 50_000_000);
-    // Abandonment is clean: the scratch comes back for reuse.
-    let _scratch = core.into_scratch();
-}
-
-/// A deadline far in the future must be result-invisible: identical stats
-/// digest with and without it.
-#[test]
-fn unexpired_deadline_is_invisible() {
-    let clean = run_cfg(CoreConfig::golden_cove_like());
-    clean.verify().expect("healthy run");
-    let spec = &suite_subset(2)[0];
-    let program = spec.build();
-    let mut core = Core::new(&program, CoreConfig::golden_cove_like());
-    core.set_deadline(std::time::Instant::now() + std::time::Duration::from_secs(3600));
-    let timed = core.run(N);
-    timed
-        .verify()
-        .expect("healthy run under a generous deadline");
-    assert_eq!(clean.stats_digest(), timed.stats_digest());
-    assert_eq!(clean.stats.cycles, timed.stats.cycles);
-}
-
 /// The watchdog knob must be timing-invisible on a healthy run: identical
 /// stats digest with and without it (it is armed on every sweep cell, so
 /// any perturbation would corrupt every figure).
