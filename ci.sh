@@ -112,6 +112,29 @@ if [[ "${1:-}" != "--fast" ]]; then
         exit 1
     fi
 
+    # Memory smoke: every figure on 20 traces with a fresh store, pinned to
+    # one CPU (so the sweep pool runs one worker, as perfbench/run.py
+    # does). Each program keeps one initial memory image and APX builds
+    # are not cached, which holds the peak near 27 MB; the gate trips if
+    # program memory is held twice again (that measured 77 MB).
+    step "memory smoke (all --quick --subset 20, one CPU, peak RSS <= 48 MB)"
+    mem_dir=$(mktemp -d "${TMPDIR:-/tmp}/constable-mem-ci.XXXXXX")
+    trap 'rm -rf "$store_dir" "$iochaos_dir" "$mem_dir"' EXIT
+    python3 - "$mem_dir/store" <<'EOF'
+import os, resource, subprocess, sys
+cpu = sorted(os.sched_getaffinity(0))[-1]
+subprocess.run(
+    ["./target/release/experiments", "all", "--quick", "--subset", "20",
+     "--store-dir", sys.argv[1]],
+    stdout=subprocess.DEVNULL, check=True,
+    preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"peak RSS {peak_mb:.1f} MB")
+if peak_mb > 48:
+    sys.exit(f"FAIL: peak RSS {peak_mb:.1f} MB exceeds the 48 MB gate")
+EOF
+
     # Checkpoint kill-and-resume smoke: a full-length sweep writing mid-run
     # snapshots is SIGKILLed the moment its first checkpoint lands on disk.
     # The rerun over the same store must resume at least one cell from its
@@ -120,7 +143,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     # end-to-end lock on bit-exact crash recovery.
     step "store smoke (SIGKILL mid-sweep, bit-exact resume)"
     ckpt_dir=$(mktemp -d "${TMPDIR:-/tmp}/constable-ckpt-ci.XXXXXX")
-    trap 'rm -rf "$store_dir" "$iochaos_dir" "$ckpt_dir"' EXIT
+    trap 'rm -rf "$store_dir" "$iochaos_dir" "$mem_dir" "$ckpt_dir"' EXIT
     ./target/release/experiments fig11 --subset 2 >"$ckpt_dir/ref.txt"
     ./target/release/experiments fig11 --subset 2 \
         --store-dir "$ckpt_dir/store" --ckpt-interval 4096 >/dev/null 2>&1 &

@@ -7,8 +7,9 @@
 //! eliminates that ineffectual work for one CLI invocation:
 //!
 //! * **Program cache** — each [`WorkloadSpec`] is assembled exactly once
-//!   (per APX flavor) into a shared [`Arc<Program>`]; every simulation and
-//!   analysis borrows the same build.
+//!   into a shared [`Arc<Program>`]; every simulation and analysis borrows
+//!   the same build. APX builds, read only by the Fig 23/24 reports, are
+//!   made inside their report's job and dropped with it.
 //! * **Report cache** — `load_inspector::analyze` runs once per
 //!   (workload, run-length); Fig 3, Fig 17, Fig 23/24, and every
 //!   oracle-carrying configuration reuse the same [`LoadReport`].
@@ -207,8 +208,9 @@ impl Drop for SweepPool {
 /// Memoization state + pool of a cached session.
 struct SweepCache {
     pool: SweepPool,
-    /// `(workload index, apx)` → shared program build.
-    programs: Mutex<HashMap<(usize, bool), Arc<Program>>>,
+    /// Workload index → shared (plain) program build. APX builds are
+    /// never cached: they exist only inside their report's job.
+    programs: Mutex<HashMap<usize, Arc<Program>>>,
     /// `(workload index, apx, run length)` → load-inspector report.
     reports: Mutex<HashMap<(usize, bool, u64), Arc<LoadReport>>>,
     /// `(thread-slot workload indices, config fingerprint)` → completed or
@@ -507,48 +509,31 @@ impl<'s> SweepSession<'s> {
 
     /// The shared build of workload `i` (assembled on first use).
     pub fn program(&self, i: usize) -> Arc<Program> {
-        self.program_inner(i, false)
-    }
-
-    /// The APX (32-register) build of workload `i`.
-    pub fn program_apx(&self, i: usize) -> Arc<Program> {
-        self.program_inner(i, true)
-    }
-
-    fn build_program(&self, i: usize, apx: bool) -> Arc<Program> {
-        if apx {
-            self.specs[i].clone().with_apx(true).build_arc()
-        } else {
-            self.specs[i].build_arc()
-        }
-    }
-
-    fn program_inner(&self, i: usize, apx: bool) -> Arc<Program> {
         let Some(cache) = &self.cache else {
-            return self.build_program(i, apx);
+            return self.specs[i].build_arc();
         };
-        if let Some(p) = cache.programs.lock().expect("programs lock").get(&(i, apx)) {
+        if let Some(p) = cache.programs.lock().expect("programs lock").get(&i) {
             return Arc::clone(p);
         }
-        let built = self.build_program(i, apx);
+        let built = self.specs[i].build_arc();
         Arc::clone(
             cache
                 .programs
                 .lock()
                 .expect("programs lock")
-                .entry((i, apx))
+                .entry(i)
                 .or_insert(built),
         )
     }
 
-    /// Builds every missing program of the given APX flavor as one flat
-    /// pool batch (no-op when everything is cached already).
-    fn ensure_programs(&self, apx: bool) {
+    /// Builds every missing program as one flat pool batch (no-op when
+    /// everything is cached already).
+    fn ensure_programs(&self) {
         let Some(cache) = &self.cache else { return };
         let missing: Vec<usize> = {
             let map = cache.programs.lock().expect("programs lock");
             (0..self.specs.len())
-                .filter(|&i| !map.contains_key(&(i, apx)))
+                .filter(|&i| !map.contains_key(&i))
                 .collect()
         };
         if missing.is_empty() {
@@ -558,20 +543,14 @@ impl<'s> SweepSession<'s> {
             .iter()
             .map(|&i| {
                 let spec = self.specs[i].clone();
-                let job: BatchJob<Arc<Program>> = Box::new(move |_| {
-                    if apx {
-                        spec.clone().with_apx(true).build_arc()
-                    } else {
-                        spec.build_arc()
-                    }
-                });
+                let job: BatchJob<Arc<Program>> = Box::new(move |_| spec.build_arc());
                 job
             })
             .collect();
         let built = cache.pool.run_batch(jobs);
         let mut map = cache.programs.lock().expect("programs lock");
         for (&i, p) in missing.iter().zip(built) {
-            map.entry((i, apx)).or_insert(p);
+            map.entry(i).or_insert(p);
         }
     }
 
@@ -588,17 +567,28 @@ impl<'s> SweepSession<'s> {
         self.report_inner(i, true)
     }
 
+    /// A job that analyses workload `i`. The plain build comes from the
+    /// shared program cache; the APX build is made, analysed and dropped
+    /// inside the job, because its report is the only thing that reads it.
+    fn analysis_job(&self, i: usize, apx: bool) -> impl FnOnce() -> LoadReport + Send + 'static {
+        let n = self.n.0;
+        let plain = (!apx).then(|| self.program(i));
+        let spec = self.specs[i].clone();
+        move || {
+            let p = plain.unwrap_or_else(|| spec.with_apx(true).build_arc());
+            load_inspector::analyze(&p, n)
+        }
+    }
+
     fn report_inner(&self, i: usize, apx: bool) -> Arc<LoadReport> {
         let Some(cache) = &self.cache else {
-            let p = self.build_program(i, apx);
-            return Arc::new(load_inspector::analyze(&p, self.n.0));
+            return Arc::new(self.analysis_job(i, apx)());
         };
         let key = (i, apx, self.n.0);
         if let Some(r) = cache.reports.lock().expect("reports lock").get(&key) {
             return Arc::clone(r);
         }
-        let p = self.program_inner(i, apx);
-        let built = Arc::new(load_inspector::analyze(&p, self.n.0));
+        let built = Arc::new(self.analysis_job(i, apx)());
         Arc::clone(
             cache
                 .reports
@@ -623,13 +613,14 @@ impl<'s> SweepSession<'s> {
         let Some(cache) = &self.cache else {
             // Direct path: per-call builds and analyses, scoped threads —
             // what fig3 did before the session existed.
-            let n = self.n.0;
-            return runner::drive_plain(self.specs.len(), |i| {
-                let p = self.build_program(i, apx);
-                Arc::new(load_inspector::analyze(&p, n))
-            });
+            return runner::drive_plain(
+                self.specs.len(),
+                |i| Arc::new(self.analysis_job(i, apx)()),
+            );
         };
-        self.ensure_programs(apx);
+        if !apx {
+            self.ensure_programs();
+        }
         let missing: Vec<usize> = {
             let map = cache.reports.lock().expect("reports lock");
             (0..self.specs.len())
@@ -637,13 +628,11 @@ impl<'s> SweepSession<'s> {
                 .collect()
         };
         if !missing.is_empty() {
-            let n = self.n.0;
             let jobs: Vec<BatchJob<Arc<LoadReport>>> = missing
                 .iter()
                 .map(|&i| {
-                    let p = self.program_inner(i, apx);
-                    let job: BatchJob<Arc<LoadReport>> =
-                        Box::new(move |_| Arc::new(load_inspector::analyze(&p, n)));
+                    let analyze = self.analysis_job(i, apx);
+                    let job: BatchJob<Arc<LoadReport>> = Box::new(move |_| Arc::new(analyze()));
                     job
                 })
                 .collect();
@@ -790,7 +779,7 @@ impl<'s> SweepSession<'s> {
     /// answered from the store before any pool time is spent.
     fn run_cells(&self, sets: Vec<Vec<Cell>>) -> Vec<Vec<CellOutcome>> {
         let cache = self.cache.as_ref().expect("cached mode only");
-        self.ensure_programs(false);
+        self.ensure_programs();
         let keyed: Vec<Vec<CellKey>> = sets
             .iter()
             .map(|set| {
@@ -1088,6 +1077,33 @@ mod tests {
             assert_eq!(x.result.stats.cycles, y.result.stats.cycles);
             assert_eq!(x.result.stats.retired, y.result.stats.retired);
         }
+    }
+
+    #[test]
+    fn apx_reports_do_not_retain_their_programs() {
+        let specs = sim_workload::suite_subset(2);
+        let session = SweepSession::new(&specs, RunLength(4_000));
+        let cached = |session: &SweepSession<'_>| {
+            let cache = session.cache.as_ref().expect("cached session");
+            let map = cache.programs.lock().expect("programs lock");
+            let mut v: Vec<(usize, bool)> = map.iter().map(|(&i, p)| (i, p.apx())).collect();
+            v.sort_unstable();
+            v
+        };
+        let first = session.reports_apx();
+        assert_eq!(first.len(), specs.len());
+        assert!(cached(&session).is_empty(), "APX builds must not be cached");
+
+        session.reports();
+        let plain: Vec<(usize, bool)> = (0..specs.len()).map(|i| (i, false)).collect();
+        assert_eq!(cached(&session), plain, "only plain builds are cached");
+
+        let second = session.reports_apx();
+        for (a, b) in first.iter().zip(&second) {
+            assert!(Arc::ptr_eq(a, b), "APX reports stay memoized");
+        }
+        assert!(Arc::ptr_eq(&first[0], &session.report_apx(0)));
+        assert_eq!(cached(&session), plain);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use sim_workload::Program;
 /// encoders write or how the decoders interpret it; restore refuses a
 /// mismatched version outright (checkpoints are cheap to retake — a stale
 /// one must never be misparsed).
-pub const CKPT_FORMAT_VERSION: u32 = 1;
+pub const CKPT_FORMAT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,10 +102,11 @@ impl std::error::Error for CkptError {}
 
 /// Identity fingerprint of a program: folds the name, geometry, entry
 /// point, per-instruction identity (PC, class, destination, immediate),
-/// and the initial data image. Two programs with equal fingerprints
-/// produce the same functional record stream for all practical purposes;
-/// the header check exists to catch *accidental* mixups (restoring cell A's
-/// checkpoint under cell B's workload), not adversarial collisions.
+/// and the initial memory image, page by page in ascending page order.
+/// Two programs with equal fingerprints produce the same functional
+/// record stream for all practical purposes; the header check exists to
+/// catch *accidental* mixups (restoring cell A's checkpoint under cell
+/// B's workload), not adversarial collisions.
 pub(crate) fn program_fingerprint(p: &Program) -> u64 {
     let mut d = TraceDigest::new();
     d.update_bytes(p.name().as_bytes());
@@ -120,10 +121,10 @@ pub(crate) fn program_fingerprint(p: &Program) -> u64 {
         d.update(inst.dst.map_or(0, |r| r.index() as u64 + 1));
         d.update(inst.imm as u64);
     }
-    d.update(p.data_init().len() as u64);
-    for &(addr, value) in p.data_init() {
-        d.update(addr);
-        d.update(value);
+    d.update(p.image().page_count() as u64);
+    for (page, bytes) in p.image().pages() {
+        d.update(page);
+        d.update_bytes(bytes);
     }
     d.finish()
 }
@@ -632,7 +633,7 @@ mod tests {
             assert!(core.run_slice(200_000, 4096), "pinned state is mid-run");
         }
         let bytes = core.checkpoint();
-        const PINNED: u64 = 0xacbf_3299_898a_db39;
+        const PINNED: u64 = 0x3da9_1cec_bff4_fe52;
         assert_eq!(
             fnv_digest(&bytes),
             PINNED,

@@ -56,10 +56,9 @@ const NO_PAGE: u64 = u64::MAX;
 /// simulation.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    /// Page payloads, one contiguous slab (`slot * PAGE_SIZE ..`): cloning
-    /// a machine's image — every `Machine::new` clones its program's
-    /// prototype — is a single allocation and memcpy instead of one per
-    /// page.
+    /// Page payloads, one contiguous slab (`slot * PAGE_SIZE ..`): every
+    /// `Machine::new` clones its program's initial image, and cloning the
+    /// slab is a single allocation and memcpy instead of one per page.
     pages: Vec<u8>,
     index: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
     mru_page: u64,
@@ -183,18 +182,33 @@ impl Memory {
         self.pages.len() / PAGE_SIZE
     }
 
-    /// Encodes the full page slab for a checkpoint.
-    ///
-    /// Pages are written in ascending page-number order regardless of the
-    /// slab's historical allocation order, so encode → decode → encode is
-    /// byte-stable; the MRU memo is a pure cache and is not encoded.
-    pub fn encode(&self, e: &mut Enc) {
+    /// Releases the slab's and the page map's spare capacity.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.pages.shrink_to_fit();
+        self.index.shrink_to_fit();
+    }
+
+    /// Every touched page as `(page number, 4 KiB payload)`, in ascending
+    /// page-number order regardless of the slab's allocation order.
+    pub fn pages(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
         let mut pages: Vec<(u64, u32)> = self.index.iter().map(|(&p, &s)| (p, s)).collect();
         pages.sort_unstable_by_key(|&(p, _)| p);
-        e.seq_len(pages.len());
-        for (page, slot) in pages {
+        pages.into_iter().map(move |(page, slot)| {
+            let base = slot as usize * PAGE_SIZE;
+            (page, &self.pages[base..base + PAGE_SIZE])
+        })
+    }
+
+    /// Encodes the full page slab for a checkpoint.
+    ///
+    /// Pages are written in ascending page-number order (see
+    /// [`Memory::pages`]), so encode → decode → encode is byte-stable; the
+    /// MRU memo is a pure cache and is not encoded.
+    pub fn encode(&self, e: &mut Enc) {
+        e.seq_len(self.page_count());
+        for (page, bytes) in self.pages() {
             e.u64(page);
-            e.raw(&self.pages[slot as usize * PAGE_SIZE..(slot as usize + 1) * PAGE_SIZE]);
+            e.raw(bytes);
         }
     }
 
@@ -224,29 +238,11 @@ pub struct Machine<'p> {
     seq: u64,
 }
 
-impl Program {
-    /// The initial data image as a prototype [`Memory`], built once per
-    /// program and cloned by every [`Machine::new`]. Cloning the page slab
-    /// is straight memcpys; replaying `data_init` paid a page translation
-    /// per entry — tens of thousands of entries on the bigger kernels,
-    /// once per simulation run across the whole sweep layer.
-    fn data_image(&self) -> &Memory {
-        self.image.get_or_init(|| {
-            let mut mem = Memory::new();
-            for &(addr, value) in self.data_init() {
-                mem.write(addr, value, 8);
-            }
-            mem
-        })
-    }
-}
-
 impl<'p> Machine<'p> {
-    /// Creates a machine at the program entry with the initial data image
-    /// applied (cloned from the program's cached prototype) and RSP
-    /// pointing at the stack top.
+    /// Creates a machine at the program entry with a clone of the
+    /// program's initial memory image and RSP pointing at the stack top.
     pub fn new(program: &'p Program) -> Self {
-        let mem = program.data_image().clone();
+        let mem = program.image().clone();
         let mut regs = [0u64; ArchReg::NUM_APX];
         regs[ArchReg::RSP.index()] = STACK_TOP;
         regs[ArchReg::RBP.index()] = STACK_TOP;

@@ -7,6 +7,7 @@
 //! with labels and fix-ups used by the kernel templates in
 //! [`crate::kernels`].
 
+use crate::exec::Memory;
 use sim_isa::{AluOp, ArchReg, BranchKind, CondCode, MemRef, OpKind, Pc, StaticInst};
 
 /// Base of the global data segment in generated programs.
@@ -24,12 +25,10 @@ pub struct Program {
     name: String,
     insts: Vec<StaticInst>,
     entry: u32,
-    data_init: Vec<(u64, u64)>,
+    /// The initial memory image, written by the builder and cloned by
+    /// every `Machine::new`.
+    image: Memory,
     apx: bool,
-    /// Lazily-built prototype of the initial memory image (see
-    /// `Program::data_image` in `exec.rs`): every `Machine::new` clones
-    /// this instead of replaying `data_init` write by write.
-    pub(crate) image: std::sync::OnceLock<crate::exec::Memory>,
 }
 
 impl Program {
@@ -59,9 +58,9 @@ impl Program {
         self.entry
     }
 
-    /// Initial memory image as `(address, u64 value)` pairs.
-    pub fn data_init(&self) -> &[(u64, u64)] {
-        &self.data_init
+    /// The initial memory image.
+    pub fn image(&self) -> &Memory {
+        &self.image
     }
 
     /// Whether this program was generated for the 32-register APX study.
@@ -108,7 +107,7 @@ pub struct ProgramBuilder {
     insts: Vec<StaticInst>,
     labels: Vec<Option<u32>>,
     fixups: Vec<(usize, Label)>,
-    data_init: Vec<(u64, u64)>,
+    image: Memory,
     next_data: u64,
     entry: Option<u32>,
     apx: bool,
@@ -122,7 +121,7 @@ impl ProgramBuilder {
             insts: Vec::new(),
             labels: Vec::new(),
             fixups: Vec::new(),
-            data_init: Vec::new(),
+            image: Memory::new(),
             next_data: DATA_BASE,
             entry: None,
             apx: false,
@@ -176,7 +175,7 @@ impl ProgramBuilder {
     pub fn alloc_global(&mut self, value: u64) -> u64 {
         let addr = self.next_data;
         self.next_data += 8;
-        self.data_init.push((addr, value));
+        self.image.write(addr, value, 8);
         addr
     }
 
@@ -189,9 +188,10 @@ impl ProgramBuilder {
         addr
     }
 
-    /// Records an initial 8-byte memory value.
+    /// Writes an initial 8-byte memory value (a later write to the same
+    /// bytes wins).
     pub fn init_u64(&mut self, addr: u64, value: u64) {
-        self.data_init.push((addr, value));
+        self.image.write(addr, value, 8);
     }
 
     fn push(&mut self, inst: StaticInst) -> u32 {
@@ -343,12 +343,12 @@ impl ProgramBuilder {
             (entry as usize) < self.insts.len(),
             "entry beyond last instruction"
         );
+        self.image.shrink_to_fit();
         Program {
             name: self.name,
-            image: std::sync::OnceLock::new(),
             insts: self.insts,
             entry,
-            data_init: self.data_init,
+            image: self.image,
             apx: self.apx,
         }
     }
@@ -367,6 +367,7 @@ pub fn direct_target(inst: &StaticInst) -> Option<Pc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Machine;
 
     #[test]
     fn labels_resolve_forward_and_backward() {
@@ -408,6 +409,69 @@ mod tests {
         let c = b.alloc_region(1);
         assert_eq!(a % 64, 0);
         assert_eq!(c - a, 64);
+    }
+
+    #[test]
+    fn overlapping_initial_writes_resolve_last_write_wins() {
+        let mut b = ProgramBuilder::new("t");
+        let g = b.alloc_global(1);
+        let region = b.alloc_region(2);
+        assert_eq!(region, g + 8, "the region directly follows the global");
+        b.init_u64(region, 5);
+        b.init_u64(g, 2);
+        // Straddles the global's high half and the region's low half.
+        b.init_u64(g + 4, 0x1111_2222_3333_4444);
+        b.init_u64(region + 8, 6);
+        b.init_u64(region + 8, 7);
+        b.set_entry();
+        b.nop();
+        let p = b.build();
+        assert_eq!(p.image().read(g, 8), 0x3333_4444_0000_0002);
+        assert_eq!(p.image().read(region, 8), 0x1111_2222);
+        assert_eq!(p.image().read(region + 8, 8), 7);
+    }
+
+    #[test]
+    fn uninitialised_region_bytes_read_zero() {
+        let mut b = ProgramBuilder::new("t");
+        let region = b.alloc_region(16);
+        b.init_u64(region + 3 * 8, u64::MAX);
+        // A region whose page no write ever touches stays unmapped.
+        let far = b.alloc_region(2048);
+        b.set_entry();
+        b.nop();
+        let p = b.build();
+        let m = Machine::new(&p);
+        for word in (0..16).filter(|&w| w != 3) {
+            assert_eq!(m.mem().read(region + word * 8, 8), 0, "word {word}");
+        }
+        assert_eq!(m.mem().read(region + 3 * 8, 8), u64::MAX);
+        assert_eq!(m.mem().read(far + 4096, 8), 0);
+        assert_eq!(p.image().page_count(), 1);
+    }
+
+    #[test]
+    fn machine_reads_back_every_initialised_word() {
+        let mut b = ProgramBuilder::new("t");
+        let globals: Vec<(u64, u64)> = (0..100u64)
+            .map(|i| {
+                let v = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                (b.alloc_global(v), v)
+            })
+            .collect();
+        // A region spanning three pages, every word initialised.
+        let region = b.alloc_region(1500);
+        let words: Vec<(u64, u64)> = (0..1500u64).map(|i| (region + i * 8, !i)).collect();
+        for &(addr, v) in &words {
+            b.init_u64(addr, v);
+        }
+        b.set_entry();
+        b.nop();
+        let p = b.build();
+        let m = Machine::new(&p);
+        for &(addr, v) in globals.iter().chain(&words) {
+            assert_eq!(m.mem().read(addr, 8), v, "word at {addr:#x}");
+        }
     }
 
     #[test]
