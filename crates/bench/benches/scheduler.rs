@@ -10,10 +10,6 @@
 //! * `scheduler/event-traced/*` — with a digest-only `TraceRecorder`
 //!   attached, bounding the trace oracle's overhead when it is *on* (when
 //!   off it costs nothing — `event/*` is the regression gate for that);
-//! * `scheduler/event-ckpt/*` — scratch-recycled with mid-run
-//!   checkpointing: bounded slices with the full core state encoded at
-//!   every boundary, bounding the snapshot tax a checkpointing sweep pays
-//!   over `event-scratch/*` (the store write is benched with the store);
 //! * `scheduler/event/smt2`, `scheduler/event-scratch/smt2` — SMT2
 //!   pairings over the subset, the configuration the parity-free frontend
 //!   PR opened to the idle-cycle fast-forward (Fig 14's cost center).
@@ -82,36 +78,6 @@ fn run_subset_with_scratch(
     (retired, scratch)
 }
 
-/// Checkpoint cadence for the overhead row: the same loop-iteration
-/// slicing the sweep layer uses, at a coarse production-like interval —
-/// one to two snapshots per quick-length workload.
-const CKPT_INTERVAL: u64 = 1 << 16;
-
-/// The subset run with mid-run checkpointing: bounded slices with the
-/// full state encoded at every boundary (the store write
-/// is benched with the store; this row isolates the encode cost riding on
-/// the scheduler's hot path).
-fn run_subset_checkpointed(
-    specs: &[WorkloadSpec],
-    cfg: &CoreConfig,
-    scratch: SimScratch,
-) -> (u64, SimScratch) {
-    let mut retired = 0;
-    let mut scratch = scratch;
-    for spec in specs {
-        let program = spec.build();
-        let mut core = Core::new_multi_with_scratch(vec![&program], cfg.clone(), scratch);
-        while core.run_slice(QUICK, CKPT_INTERVAL) {
-            std::hint::black_box(core.checkpoint());
-        }
-        let r = core.seal_result();
-        assert_eq!(r.stats.golden_mismatches, 0);
-        retired += r.stats.retired;
-        scratch = core.into_scratch();
-    }
-    (retired, scratch)
-}
-
 /// SMT2 pairing shapes over a 4-workload subset (the trace-oracle pairs).
 fn smt2_pairs() -> Vec<(sim_workload::Program, sim_workload::Program)> {
     let specs = sim_workload::suite_subset(4);
@@ -162,15 +128,6 @@ fn scheduler_throughput(c: &mut Criterion) {
         });
         g.bench_function(&format!("event-traced/{label}"), |b| {
             b.iter(|| std::hint::black_box(run_subset(&specs, cfg, true)))
-        });
-        g.bench_function(&format!("event-ckpt/{label}"), |b| {
-            let mut scratch = Some(SimScratch::new());
-            b.iter(|| {
-                let (retired, s) =
-                    run_subset_checkpointed(&specs, cfg, scratch.take().expect("scratch"));
-                scratch = Some(s);
-                std::hint::black_box(retired)
-            })
         });
         g.finish();
     }

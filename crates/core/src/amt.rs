@@ -9,7 +9,6 @@
 //! carry a line address, always match at line granularity).
 
 use crate::config::ConstableConfig;
-use sim_isa::{CodecError, Dec, Enc};
 
 const LINE_SHIFT: u32 = 6;
 
@@ -157,56 +156,6 @@ impl Amt {
     /// Number of valid entries (for stats).
     pub fn occupancy(&self) -> usize {
         self.entries.iter().filter(|e| e.valid).count()
-    }
-
-    /// Encodes the table for a checkpoint (geometry comes from the config).
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let Amt {
-            sets: _,
-            ways: _,
-            pcs_per_entry: _,
-            full_address: _,
-            entries,
-            clock,
-        } = self;
-        for entry in entries {
-            let AmtEntry {
-                valid,
-                addr,
-                pcs,
-                lru,
-            } = entry;
-            e.bool(*valid);
-            e.u64(*addr);
-            e.seq_len(pcs.len());
-            for &pc in pcs {
-                e.u64(pc);
-            }
-            e.u64(*lru);
-        }
-        e.u64(*clock);
-    }
-
-    /// Decodes a table written by [`Amt::encode`] under the same config.
-    pub(crate) fn decode(cfg: &ConstableConfig, d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut a = Amt::new(cfg);
-        for entry in a.entries.iter_mut() {
-            let valid = d.bool()?;
-            let addr = d.u64()?;
-            let n = d.seq_len()?;
-            let mut pcs = Vec::with_capacity(n);
-            for _ in 0..n {
-                pcs.push(d.u64()?);
-            }
-            *entry = AmtEntry {
-                valid,
-                addr,
-                pcs,
-                lru: d.u64()?,
-            };
-        }
-        a.clock = d.u64()?;
-        Ok(a)
     }
 }
 

@@ -16,7 +16,7 @@ use crate::config::ConstableConfig;
 use crate::rmt::Rmt;
 use crate::sld::{Sld, SldDecision, StackState};
 use crate::xprf::{Xprf, XprfSlot};
-use sim_isa::{ArchReg, CodecError, Dec, Enc, MemRef};
+use sim_isa::{ArchReg, MemRef};
 
 /// Rename-stage outcome for a load (steps 1–3 of Fig 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,94 +312,6 @@ impl Constable {
     /// Current SLD confidence of `pc` (tests/analysis).
     pub fn confidence(&self, pc: u64) -> Option<u8> {
         self.sld.confidence(pc)
-    }
-
-    /// Encodes the full monitor/arming state for a checkpoint: SLD, RMT,
-    /// AMT, the xPRF free list (exact order), stats, and the in-cycle port
-    /// counters. The configuration is *not* encoded — the checkpoint header
-    /// pins it, and decode rebuilds the geometry from it.
-    pub fn encode(&self, e: &mut Enc) {
-        let Constable {
-            cfg: _,
-            sld,
-            rmt,
-            amt,
-            xprf,
-            stats,
-            sld_reads_this_cycle,
-            sld_writes_this_cycle,
-        } = self;
-        sld.encode(e);
-        rmt.encode(e);
-        amt.encode(e);
-        xprf.encode(e);
-        let ConstableStats {
-            loads_renamed,
-            eliminated,
-            marked_likely_stable,
-            armed,
-            xprf_full_forgone,
-            resets_reg_write,
-            resets_store,
-            resets_snoop,
-            resets_amt_conflict,
-            resets_rmt_conflict,
-            resets_l1_evict,
-            resets_violation,
-            cv_pins_requested,
-        } = stats;
-        for v in [
-            loads_renamed,
-            eliminated,
-            marked_likely_stable,
-            armed,
-            xprf_full_forgone,
-            resets_reg_write,
-            resets_store,
-            resets_snoop,
-            resets_amt_conflict,
-            resets_rmt_conflict,
-            resets_l1_evict,
-            resets_violation,
-            cv_pins_requested,
-        ] {
-            e.u64(*v);
-        }
-        e.u32(*sld_reads_this_cycle);
-        e.u32(*sld_writes_this_cycle);
-    }
-
-    /// Decodes state written by [`Constable::encode`] under the same config.
-    pub fn decode(cfg: ConstableConfig, d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let sld = Sld::decode(&cfg, d)?;
-        let rmt = Rmt::decode(&cfg, d)?;
-        let amt = Amt::decode(&cfg, d)?;
-        let xprf = Xprf::decode(d)?;
-        let stats = ConstableStats {
-            loads_renamed: d.u64()?,
-            eliminated: d.u64()?,
-            marked_likely_stable: d.u64()?,
-            armed: d.u64()?,
-            xprf_full_forgone: d.u64()?,
-            resets_reg_write: d.u64()?,
-            resets_store: d.u64()?,
-            resets_snoop: d.u64()?,
-            resets_amt_conflict: d.u64()?,
-            resets_rmt_conflict: d.u64()?,
-            resets_l1_evict: d.u64()?,
-            resets_violation: d.u64()?,
-            cv_pins_requested: d.u64()?,
-        };
-        Ok(Constable {
-            cfg,
-            sld,
-            rmt,
-            amt,
-            xprf,
-            stats,
-            sld_reads_this_cycle: d.u32()?,
-            sld_writes_this_cycle: d.u32()?,
-        })
     }
 }
 

@@ -6,7 +6,7 @@
 //! SLD (Condition 1 enforcement).
 
 use crate::config::ConstableConfig;
-use sim_isa::{ArchReg, CodecError, Dec, Enc};
+use sim_isa::ArchReg;
 
 /// The Register Monitor Table.
 #[derive(Debug, Clone)]
@@ -81,34 +81,6 @@ impl Rmt {
     /// Whether nothing is monitored at all.
     pub fn is_empty(&self) -> bool {
         self.lists.iter().all(Vec::is_empty)
-    }
-
-    /// Encodes the monitor lists for a checkpoint (depths from the config).
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let Rmt {
-            lists,
-            stack_depth: _,
-            other_depth: _,
-        } = self;
-        for list in lists {
-            e.seq_len(list.len());
-            for &pc in list {
-                e.u64(pc);
-            }
-        }
-    }
-
-    /// Decodes lists written by [`Rmt::encode`] under the same config.
-    pub(crate) fn decode(cfg: &ConstableConfig, d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut r = Rmt::new(cfg);
-        for list in r.lists.iter_mut() {
-            let n = d.seq_len()?;
-            list.reserve(n);
-            for _ in 0..n {
-                list.push(d.u64()?);
-            }
-        }
-        Ok(r)
     }
 }
 

@@ -6,7 +6,6 @@
 //! the last-computed address and last-fetched value for eliminated loads.
 
 use crate::config::ConstableConfig;
-use sim_isa::{CodecError, Dec, Enc};
 
 /// State recorded when a stack-relative load arms elimination: the rename
 /// stage's stack-delta view of RSP. Elimination is only legal while the
@@ -200,65 +199,6 @@ impl Sld {
     /// Whether `pc` is currently armed for elimination.
     pub fn armed(&self, pc: u64) -> bool {
         self.find(pc).is_some_and(|i| self.entries[i].can_eliminate)
-    }
-
-    /// Encodes the table for a checkpoint (geometry comes from the config).
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let Sld {
-            sets: _,
-            ways: _,
-            threshold: _,
-            max_conf: _,
-            entries,
-            clock,
-        } = self;
-        for entry in entries {
-            let SldEntry {
-                tag,
-                valid,
-                last_addr,
-                last_value,
-                confidence,
-                can_eliminate,
-                stack_state: StackState { epoch, delta },
-                uses_rsp,
-                lru,
-            } = *entry;
-            e.u64(tag);
-            e.bool(valid);
-            e.u64(last_addr);
-            e.u64(last_value);
-            e.u8(confidence);
-            e.bool(can_eliminate);
-            e.u64(epoch);
-            e.i64(delta);
-            e.bool(uses_rsp);
-            e.u64(lru);
-        }
-        e.u64(*clock);
-    }
-
-    /// Decodes a table written by [`Sld::encode`] under the same config.
-    pub(crate) fn decode(cfg: &ConstableConfig, d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut s = Sld::new(cfg);
-        for entry in s.entries.iter_mut() {
-            *entry = SldEntry {
-                tag: d.u64()?,
-                valid: d.bool()?,
-                last_addr: d.u64()?,
-                last_value: d.u64()?,
-                confidence: d.u8()?,
-                can_eliminate: d.bool()?,
-                stack_state: StackState {
-                    epoch: d.u64()?,
-                    delta: d.i64()?,
-                },
-                uses_rsp: d.bool()?,
-                lru: d.u64()?,
-            };
-        }
-        s.clock = d.u64()?;
-        Ok(s)
     }
 }
 

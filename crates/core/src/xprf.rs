@@ -6,8 +6,6 @@
 //! If no xPRF register is free, the load is simply not eliminated (observed
 //! in only ~0.2% of instances with 32 entries).
 
-use sim_isa::{CodecError, Dec, Enc};
-
 /// An xPRF slot index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct XprfSlot(pub u8);
@@ -70,41 +68,6 @@ impl Xprf {
     /// Total capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Encodes the free list in exact pop order plus the counters — the
-    /// order decides which slot the next `alloc` hands out, so preserving
-    /// it bit-exactly is required for deterministic resume.
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let Xprf {
-            free,
-            capacity,
-            full_misses,
-            allocations,
-        } = self;
-        e.usize(*capacity);
-        e.seq_len(free.len());
-        for &s in free {
-            e.u8(s);
-        }
-        e.u64(*full_misses);
-        e.u64(*allocations);
-    }
-
-    /// Decodes a file written by [`Xprf::encode`].
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let capacity = d.usize()?;
-        let n = d.seq_len()?;
-        let mut free = Vec::with_capacity(capacity.max(n));
-        for _ in 0..n {
-            free.push(d.u8()?);
-        }
-        Ok(Xprf {
-            free,
-            capacity,
-            full_misses: d.u64()?,
-            allocations: d.u64()?,
-        })
     }
 }
 

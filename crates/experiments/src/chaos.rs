@@ -61,26 +61,6 @@ impl ChaosPlan {
             _ => None,
         }
     }
-
-    /// Checkpoint-boundary kill schedule (active only when the session
-    /// checkpoints): the selected cell panics right after checkpoint
-    /// boundary `n` is durably written, and the rerun must *resume* and
-    /// reproduce the straight run's digest byte-for-byte. A separate
-    /// seeded stream from [`ChaosPlan::fault_for`] — adding it does not
-    /// shift which cells draw the classic faults — and disjoint from them
-    /// by construction: a cell with a classic fault never draws a kill
-    /// (the classic fault already owns that cell's failure story).
-    pub fn ckpt_kill_for(&self, workload: &str, fingerprint: u64) -> Option<u64> {
-        if self.fault_for(workload, fingerprint).is_some() {
-            return None;
-        }
-        let mut h = splitmix64(self.seed ^ 0xa076_1d64_78bd_642f);
-        for b in workload.bytes() {
-            h = splitmix64(h ^ u64::from(b));
-        }
-        h = splitmix64(h ^ fingerprint);
-        h.is_multiple_of(4).then_some((h >> 2) % 3)
-    }
 }
 
 /// SplitMix64 finalizer — a full-avalanche mix with no dependencies.
@@ -128,27 +108,5 @@ mod tests {
         let injected: usize = counts.iter().sum();
         // ~3/16 of cells (768/4096); allow generous slack.
         assert!((500..1100).contains(&injected), "rate off: {injected}");
-    }
-
-    #[test]
-    fn ckpt_kills_are_a_separate_bounded_stream_disjoint_from_faults() {
-        let a = ChaosPlan::new(7);
-        let b = ChaosPlan::new(7);
-        let mut kills = 0;
-        for fp in 0..4096u64 {
-            let k = a.ckpt_kill_for("workload", fp);
-            assert_eq!(k, b.ckpt_kill_for("workload", fp));
-            if let Some(at) = k {
-                assert!(at < 3, "kill boundary out of range: {at}");
-                assert_eq!(
-                    a.fault_for("workload", fp),
-                    None,
-                    "a cell must never draw both a classic fault and a kill"
-                );
-                kills += 1;
-            }
-        }
-        // ~(13/16)·(1/4) of cells (~832/4096); allow generous slack.
-        assert!((500..1200).contains(&kills), "kill rate off: {kills}");
     }
 }

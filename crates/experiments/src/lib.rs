@@ -45,7 +45,6 @@
 //! by `cargo bench -p bench --bench sweep`.
 
 pub mod chaos;
-pub mod ckpt;
 pub mod configs;
 pub mod fault;
 pub mod figures;
@@ -54,7 +53,6 @@ pub mod runner;
 pub mod sweep;
 
 pub use chaos::{ChaosFault, ChaosPlan};
-pub use ckpt::{run_checkpointed, Checkpointer, SharedStore, CKPT_INTERVAL_DEFAULT};
 pub use configs::MachineKind;
 pub use fault::{CellFailure, CellOutcome};
 pub use persist::{decode_outcome, encode_outcome, store_key, PAYLOAD_VERSION};

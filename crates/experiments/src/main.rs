@@ -20,7 +20,9 @@
 //! on-disk result store: memoizable cells are answered from disk across
 //! processes, keyed by a stable versioned encoding of (workload
 //! parameters, full config, run length) and verified by checksum + stats
-//! digest on every hit. Store damage quarantines (with forensics) and
+//! digest on every hit. Each cell is written the moment it verifies, so a
+//! killed sweep loses only the cells in flight and the rerun resumes from
+//! the rest. Store damage quarantines (with forensics) and
 //! recomputes — it never corrupts a figure. `--io-chaos <seed>` (or
 //! `SIM_IO_CHAOS=<seed>`) layers deterministic storage-fault injection
 //! (torn writes, bit flips, journal truncation, lock contention) on top.
@@ -45,15 +47,13 @@ use experiments::{
     try_run_figure, ChaosPlan, MachineKind, RunLength, SweepSession, FIGURES, WATCHDOG_BUDGET,
 };
 use sim_core::{Core, TraceRecorder};
-use std::num::NonZeroU64;
 
 /// Exit code of a malformed command line (BSD `EX_USAGE`), distinct from
 /// the sweep's 2/3 quarantine codes.
 const EX_USAGE: i32 = 64;
 
 const USAGE: &str = "usage: experiments -- <figure-id>|all [--quick] [--subset N] [--uncached] \
-     [--keep-going|--fail-fast] [--chaos <seed>] [--store-dir <path>] [--io-chaos <seed>] \
-     [--ckpt-interval <iters>]
+     [--keep-going|--fail-fast] [--chaos <seed>] [--store-dir <path>] [--io-chaos <seed>]
        experiments -- cell <workload>[+<workload>] <machine-slug> [--depth-scale X] \
      [--quick|--len N]
        experiments -- list";
@@ -119,7 +119,6 @@ fn main() {
     let mut chaos = env_seed("SIM_CHAOS").map(ChaosPlan::new);
     let mut store_dir: Option<String> = std::env::var("SIM_STORE").ok().filter(|s| !s.is_empty());
     let mut io_chaos: Option<u64> = env_seed("SIM_IO_CHAOS");
-    let mut ckpt_interval: Option<u64> = experiments::ckpt::interval_from_env();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -131,11 +130,6 @@ fn main() {
                 store_dir = Some(flag_value(&args, &mut i, "a directory path", USAGE));
             }
             "--io-chaos" => io_chaos = Some(flag_value(&args, &mut i, "a u64 seed", USAGE)),
-            "--ckpt-interval" => {
-                let iv: NonZeroU64 =
-                    flag_value(&args, &mut i, "a positive loop-iteration count", USAGE);
-                ckpt_interval = Some(iv.get());
-            }
             "--subset" => subset = Some(flag_value(&args, &mut i, "a count", USAGE)),
             "--chaos" => {
                 chaos = Some(ChaosPlan::new(flag_value(
@@ -188,12 +182,6 @@ fn main() {
             USAGE,
         );
     }
-    if ckpt_interval.is_some() && store_dir.is_none() {
-        usage_error(
-            "--ckpt-interval persists mid-run snapshots; it requires --store-dir (or SIM_STORE)",
-            USAGE,
-        );
-    }
     let specs = match subset {
         Some(k) => sim_workload::suite_subset(k),
         None => sim_workload::suite(),
@@ -216,10 +204,6 @@ fn main() {
             Ok(store) => {
                 eprintln!("[store: {dir} ({} record(s))]", store.len());
                 session = session.with_store(store);
-                if let Some(iv) = ckpt_interval {
-                    eprintln!("[ckpt: snapshot every {iv} loop iterations]");
-                    session = session.with_checkpoint_interval(iv);
-                }
             }
             Err(e) => {
                 // An unusable store directory degrades to a store-less
@@ -263,15 +247,8 @@ fn main() {
     session.finish_store();
     if let Some(stats) = session.store_stats() {
         eprintln!(
-            "[store: {} hits, {} misses, {} writes, {} quarantined; \
-             ckpt {} written, {} resumed, {} missed]",
-            stats.hits,
-            stats.misses,
-            stats.writes,
-            stats.quarantined,
-            stats.ckpt_writes,
-            stats.ckpt_hits,
-            stats.ckpt_misses
+            "[store: {} hits, {} misses, {} writes, {} quarantined]",
+            stats.hits, stats.misses, stats.writes, stats.quarantined
         );
     }
     let failures = session.failures();

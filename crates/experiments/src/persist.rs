@@ -431,16 +431,30 @@ mod tests {
     use constable::IdealOracle;
     use sim_core::Core;
 
-    fn run_one(spec: &WorkloadSpec, cfg: CoreConfig, n: u64) -> RunOutcome {
-        let program = spec.build();
-        let mut core = Core::new_multi(vec![&program], cfg);
-        let result = core.run(n);
+    /// Runs one verified cell: a single workload, or an SMT2 pair.
+    fn run_one(specs: &[&WorkloadSpec], cfg: CoreConfig, n: u64) -> RunOutcome {
+        let programs: Vec<_> = specs.iter().map(|s| s.build()).collect();
+        let mut core = Core::new_multi(programs.iter().collect(), cfg);
+        let result = core.run(n / specs.len() as u64);
         result.verify().expect("clean run");
         RunOutcome {
-            workload: spec.name.clone(),
-            category: spec.category,
+            workload: specs
+                .iter()
+                .map(|s| s.name.as_str())
+                .collect::<Vec<_>>()
+                .join("+"),
+            category: specs[0].category,
             result,
         }
+    }
+
+    /// SplitMix64: a std-only seeded stream for the damage fuzzer.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 
     #[test]
@@ -449,7 +463,7 @@ mod tests {
         for kind in [MachineKind::Baseline, MachineKind::Constable] {
             let mut cfg = kind.config(IdealOracle::default());
             cfg.track_per_pc = true; // exercise the per-PC map codec
-            let outcome = run_one(&specs[0], cfg, 4_000);
+            let outcome = run_one(&[&specs[0]], cfg, 4_000);
             let bytes = encode_outcome(&outcome);
             let back = decode_outcome(&bytes).expect("decodes");
             assert_eq!(back.workload, outcome.workload);
@@ -469,9 +483,9 @@ mod tests {
 
     #[test]
     fn version_skew_and_damage_are_reported_not_panicked() {
-        let specs = sim_workload::suite_subset(1);
+        let specs = sim_workload::suite_subset(2);
         let outcome = run_one(
-            &specs[0],
+            &[&specs[0]],
             MachineKind::Baseline.config(IdealOracle::default()),
             4_000,
         );
@@ -486,6 +500,39 @@ mod tests {
         bytes[0] = PAYLOAD_VERSION;
         assert!(decode_outcome(&bytes[..bytes.len() - 3]).is_err());
         assert!(decode_outcome(&[]).is_err());
+
+        // Every-prefix truncation and seeded single-byte flips over a
+        // single-thread and an SMT2 outcome (per-PC maps on, so the map
+        // counts are exposed too): a strict prefix is always an error, and
+        // a flipped payload decodes to an error or an outcome, never a
+        // panic.
+        let mut cfg = MachineKind::Constable.config(IdealOracle::default());
+        cfg.track_per_pc = true;
+        let smt2 = run_one(&[&specs[0], &specs[1]], cfg, 4_000);
+        let mut rng = 0x5eed_0001_u64;
+        for outcome in [&outcome, &smt2] {
+            let bytes = encode_outcome(outcome);
+            for len in 0..bytes.len() {
+                assert!(
+                    decode_outcome(&bytes[..len]).is_err(),
+                    "{}: a {len}-byte prefix of {} decoded",
+                    outcome.workload,
+                    bytes.len()
+                );
+            }
+            for _ in 0..2_000 {
+                let at = (splitmix(&mut rng) % bytes.len() as u64) as usize;
+                let mask = (splitmix(&mut rng) % 255 + 1) as u8;
+                let mut damaged = bytes.clone();
+                damaged[at] ^= mask;
+                let decoded = std::panic::catch_unwind(|| decode_outcome(&damaged).is_ok());
+                assert!(
+                    decoded.is_ok(),
+                    "{}: flipping byte {at} with {mask:#04x} panicked the decoder",
+                    outcome.workload
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,11 @@
 //!   matter how many figures ask for it; `--all` shares Constable/EVES
 //!   runs across fig11/fig12/fig13/… the same way.
 //! * **One cell runner** — every missing cell (single-thread or SMT2,
-//!   plain or checkpointed, chaos-faulted or not) runs through
-//!   [`run_cell`].
+//!   chaos-faulted or not) runs through [`run_cell`].
+//! * **Per-cell persistence** — with a store attached, each cell's job
+//!   writes its verified result the moment it finishes, so a killed sweep
+//!   loses only the cells in flight and the rerun answers the rest from
+//!   disk.
 //! * **Persistent pool** — one set of worker threads (each owning a
 //!   [`SimScratch`]) lives for the whole session. A figure's entire
 //!   (workload × config) matrix is submitted as a single flat job list, so
@@ -33,14 +36,13 @@
 //! memoized output must be byte-identical.
 
 use crate::chaos::{ChaosFault, ChaosPlan};
-use crate::ckpt::{self, Checkpointer, SharedStore};
 use crate::configs::MachineKind;
 use crate::fault::{CellFailure, CellOutcome};
 use crate::persist;
 use crate::runner::{self, RunLength, RunOutcome, WATCHDOG_BUDGET};
 use constable::IdealOracle;
 use load_inspector::LoadReport;
-use result_store::{GetOutcome, ResultStore, StoreDefectKind, StoreStats};
+use result_store::{GetOutcome, ResultStore, StoreDefectKind, StoreKey, StoreStats};
 use sim_core::{Core, CoreConfig, SimScratch};
 use sim_workload::{Category, Program, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
@@ -71,6 +73,10 @@ type Cell = (Vec<usize>, CoreConfig);
 /// A cell's memo identity: its thread-slot workload indices and config
 /// fingerprint.
 type CellKey = (Vec<usize>, u64);
+
+/// The session's store slot, shared (`Arc`) so pool workers can persist
+/// the cells they finish.
+type SharedStore = Arc<Mutex<Option<ResultStore>>>;
 
 /// Persistent work-stealing pool: one worker per host core, each owning a
 /// [`SimScratch`] that is threaded through every job it executes. Jobs are
@@ -232,13 +238,9 @@ pub struct SweepSession<'s> {
     /// Persistent on-disk result store, if attached: memoizable cells are
     /// answered from disk (after checksum + digest verification) before
     /// any pool time is spent, and freshly computed clean cells are
-    /// written back. Store damage quarantines and recomputes — it never
-    /// fails a figure. Shared (`Arc`) so per-cell [`Checkpointer`]s on the
-    /// pool can reach the same handle.
+    /// written back by the job that computed them. Store damage
+    /// quarantines and recomputes — it never fails a figure.
     store: SharedStore,
-    /// Mid-run checkpoint interval (core loop iterations per slice), if
-    /// this session checkpoints long cells. Requires an attached store.
-    ckpt_interval: Option<u64>,
     /// Every quarantined cell of this session, in discovery order — the
     /// source of the binary's final quarantine table.
     failures: Mutex<Vec<CellFailure>>,
@@ -259,7 +261,6 @@ impl<'s> SweepSession<'s> {
             }),
             chaos: None,
             store: Arc::new(Mutex::new(None)),
-            ckpt_interval: None,
             failures: Mutex::new(Vec::new()),
         }
     }
@@ -275,7 +276,6 @@ impl<'s> SweepSession<'s> {
             cache: None,
             chaos: None,
             store: Arc::new(Mutex::new(None)),
-            ckpt_interval: None,
             failures: Mutex::new(Vec::new()),
         }
     }
@@ -295,20 +295,6 @@ impl<'s> SweepSession<'s> {
     /// The chaos plan, if this session injects faults.
     pub fn chaos(&self) -> Option<ChaosPlan> {
         self.chaos
-    }
-
-    /// Enables mid-run checkpointing of missing cells every `interval`
-    /// core loop iterations. Only effective once a store is attached
-    /// ([`with_store`](SweepSession::with_store)) — checkpoints live in
-    /// the store's `checkpoints/` tier. Results stay bit-identical —
-    /// slicing never changes what the model computes.
-    pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
-        assert!(
-            self.cache.is_some(),
-            "checkpointing requires the cached (pooled) session"
-        );
-        self.ckpt_interval = Some(interval.max(1));
-        self
     }
 
     /// Attaches a persistent result store. Cached sessions only — the
@@ -363,17 +349,11 @@ impl<'s> SweepSession<'s> {
     fn store_lookup(
         &self,
         store: &mut ResultStore,
-        specs: &[&WorkloadSpec],
-        cfg: &CoreConfig,
+        key: &StoreKey,
+        name: &str,
         fp: u64,
     ) -> Option<RunOutcome> {
-        let key = persist::store_key(specs, cfg, self.n);
-        let name = specs
-            .iter()
-            .map(|s| s.name.as_str())
-            .collect::<Vec<_>>()
-            .join("+");
-        match store.get(&key) {
+        match store.get(key) {
             GetOutcome::Hit {
                 payload,
                 stats_digest,
@@ -386,83 +366,36 @@ impl<'s> SweepSession<'s> {
                     // The payload passed its checksum but decodes to a
                     // different run (or workload) than the header promised.
                     let defect = store.quarantine(
-                        &key,
+                        key,
                         StoreDefectKind::DigestMismatch,
                         stats_digest,
                         actual,
                     );
-                    self.record_failure(&CellFailure::from_store_defect(
-                        &defect, &name, fp, self.n,
-                    ));
+                    self.record_failure(&CellFailure::from_store_defect(&defect, name, fp, self.n));
                     None
                 }
                 Err(persist::PayloadError::Version { found }) => {
                     let defect = store.quarantine(
-                        &key,
+                        key,
                         StoreDefectKind::VersionSkew,
                         u64::from(persist::PAYLOAD_VERSION),
                         u64::from(found),
                     );
-                    self.record_failure(&CellFailure::from_store_defect(
-                        &defect, &name, fp, self.n,
-                    ));
+                    self.record_failure(&CellFailure::from_store_defect(&defect, name, fp, self.n));
                     None
                 }
                 Err(persist::PayloadError::Malformed(_)) => {
-                    let defect = store.quarantine(&key, StoreDefectKind::Corrupt, 0, 0);
-                    self.record_failure(&CellFailure::from_store_defect(
-                        &defect, &name, fp, self.n,
-                    ));
+                    let defect = store.quarantine(key, StoreDefectKind::Corrupt, 0, 0);
+                    self.record_failure(&CellFailure::from_store_defect(&defect, name, fp, self.n));
                     None
                 }
             },
             GetOutcome::Miss => None,
             GetOutcome::Defect(defect) => {
-                self.record_failure(&CellFailure::from_store_defect(&defect, &name, fp, self.n));
+                self.record_failure(&CellFailure::from_store_defect(&defect, name, fp, self.n));
                 None
             }
         }
-    }
-
-    /// Writes one freshly computed, verified-clean cell back to the store.
-    /// Write failures are reported but never fail the cell — the result is
-    /// already in the in-process memo.
-    fn store_put(
-        &self,
-        store: &mut ResultStore,
-        specs: &[&WorkloadSpec],
-        cfg: &CoreConfig,
-        outcome: &RunOutcome,
-    ) {
-        let key = persist::store_key(specs, cfg, self.n);
-        let payload = persist::encode_outcome(outcome);
-        let digest = outcome.result.stats_digest();
-        if let Err(e) = store.put(&key, &payload, digest) {
-            eprintln!("[store: write failed for {}: {e}]", outcome.workload);
-        }
-    }
-
-    /// Whether this session checkpoints missing cells mid-run: an interval
-    /// is set *and* a store is attached to keep the snapshots in.
-    fn checkpointing(&self) -> bool {
-        self.ckpt_interval.is_some() && self.store.lock().expect("store lock").is_some()
-    }
-
-    /// Builds the per-cell checkpoint handle: the same stable store key the
-    /// finished result will be filed under (logical config — before
-    /// watchdog instrumentation), the shared store, and the chaos
-    /// kill-boundary (if this cell drew one).
-    fn checkpointer(
-        &self,
-        specs: &[&WorkloadSpec],
-        cfg: &CoreConfig,
-        name: &str,
-        fp: u64,
-    ) -> Checkpointer {
-        let key = persist::store_key(specs, cfg, self.n);
-        let interval = self.ckpt_interval.expect("checkpointing() gated");
-        Checkpointer::new(Arc::clone(&self.store), key, interval)
-            .with_kill_at(self.chaos.and_then(|c| c.ckpt_kill_for(name, fp)))
     }
 
     /// Every cell quarantined so far, in discovery order.
@@ -777,6 +710,12 @@ impl<'s> SweepSession<'s> {
     /// Missing cells are deduplicated across sets (two figures — or two
     /// kinds of one figure — asking for the same cell share one run) and
     /// answered from the store before any pool time is spent.
+    ///
+    /// With a store attached, each job persists its own cell right after
+    /// it verifies, so the store holds only verified-clean outcomes and a
+    /// killed sweep keeps every cell that finished. With more than one
+    /// worker the journal therefore lists cells in completion order, not
+    /// submission order.
     fn run_cells(&self, sets: Vec<Vec<Cell>>) -> Vec<Vec<CellOutcome>> {
         let cache = self.cache.as_ref().expect("cached mode only");
         self.ensure_programs();
@@ -788,95 +727,85 @@ impl<'s> SweepSession<'s> {
                     .collect()
             })
             .collect();
-        let mut missing: Vec<(CellKey, CoreConfig)> = Vec::new();
+        let mut missing: Vec<(CellKey, CoreConfig, Option<StoreKey>)> = Vec::new();
         {
             let done = cache.outcomes.lock().expect("outcomes lock");
             let mut queued: HashSet<&CellKey> = HashSet::new();
             for (set, keys) in sets.into_iter().zip(&keyed) {
                 for ((_, cfg), key) in set.into_iter().zip(keys) {
                     if !done.contains_key(key) && queued.insert(key) {
-                        missing.push((key.clone(), cfg));
+                        missing.push((key.clone(), cfg, None));
                     }
                 }
             }
         }
-        // A verified store hit goes straight into the outcome memo; a
-        // damaged record quarantines (with forensics in the failure
-        // registry) and falls through to recompute.
+        // With a store attached, every missing cell gets its stable store
+        // key (logical config, before watchdog instrumentation). A verified
+        // hit goes straight into the outcome memo; a damaged record
+        // quarantines (with forensics in the failure registry) and falls
+        // through to recompute, carrying its key to the job.
         if !missing.is_empty() {
             let mut guard = self.store.lock().expect("store lock");
             if let Some(store) = guard.as_mut() {
                 let mut done = cache.outcomes.lock().expect("outcomes lock");
-                missing.retain(|((workloads, fp), cfg)| {
-                    match self.store_lookup(store, &self.cell_specs(workloads), cfg, *fp) {
+                missing.retain_mut(|((workloads, fp), cfg, store_key)| {
+                    let key = persist::store_key(&self.cell_specs(workloads), cfg, self.n);
+                    let name = self.cell_name(workloads);
+                    match self.store_lookup(store, &key, &name, *fp) {
                         Some(outcome) => {
                             done.entry((workloads.clone(), *fp)).or_insert(Ok(outcome));
                             false
                         }
-                        None => true,
+                        None => {
+                            *store_key = Some(key);
+                            true
+                        }
                     }
                 });
             }
         }
         if !missing.is_empty() {
             let n = self.n;
-            let ckpt_on = self.checkpointing();
             let jobs: Vec<BatchJob<CellOutcome>> = missing
                 .iter()
-                .map(|((workloads, fp), cfg)| {
+                .map(|((workloads, fp), cfg, store_key)| {
                     let fp = *fp;
                     let programs: Vec<Arc<Program>> =
                         workloads.iter().map(|&i| self.program(i)).collect();
                     let name = self.cell_name(workloads);
                     let category = self.specs[workloads[0]].category;
                     let fault = self.chaos.and_then(|c| c.fault_for(&name, fp));
-                    let ckpt = (ckpt_on && fault.is_none())
-                        .then(|| self.checkpointer(&self.cell_specs(workloads), cfg, &name, fp));
                     let cfg = cfg.clone();
+                    let store_key = store_key.clone();
+                    let store = Arc::clone(&self.store);
                     let job: BatchJob<CellOutcome> = Box::new(move |scratch| {
                         let programs: Vec<&Program> = programs.iter().map(Arc::as_ref).collect();
-                        run_cell(
-                            &programs,
-                            &name,
-                            category,
-                            cfg,
-                            n,
-                            fp,
-                            fault,
-                            ckpt.as_ref(),
-                            scratch,
-                        )
+                        let cell = run_cell(&programs, &name, category, cfg, n, fp, fault, scratch);
+                        if let (Ok(run), Some(key)) = (&cell, &store_key) {
+                            store_put(&store, key, run);
+                        }
+                        cell
                     });
                     job
                 })
                 .collect();
             let outcomes = cache.pool.run_batch_guarded(jobs);
             let mut done = cache.outcomes.lock().expect("outcomes lock");
-            let mut store_guard = self.store.lock().expect("store lock");
-            for (((workloads, fp), cfg), outcome) in missing.into_iter().zip(outcomes) {
+            for (((workloads, fp), _, _), outcome) in missing.into_iter().zip(outcomes) {
                 let cell = outcome.unwrap_or_else(|payload| {
                     // The job panicked on its worker: wrap the payload in
                     // a quarantine bundle, re-asking the chaos plan whether
-                    // the cell was scheduled for an injected panic —
-                    // classic, or a checkpoint-boundary kill. (`ckpt_on`,
-                    // not `self.checkpointing()`: the latter locks the
-                    // store, which this thread already holds.)
+                    // the cell was scheduled for an injected panic.
                     let name = self.cell_name(&workloads);
-                    let injected = self.chaos.is_some_and(|c| {
-                        c.fault_for(&name, fp) == Some(ChaosFault::Panic)
-                            || (ckpt_on && c.ckpt_kill_for(&name, fp).is_some())
-                    });
+                    let injected = self
+                        .chaos
+                        .is_some_and(|c| c.fault_for(&name, fp) == Some(ChaosFault::Panic));
                     Err(CellFailure::from_panic(
                         &name, fp, self.n, payload, injected,
                     ))
                 });
                 if let Err(f) = &cell {
                     self.record_failure(f);
-                }
-                // Persist freshly computed clean cells (the store only
-                // ever holds verified-Ok outcomes).
-                if let (Ok(run), Some(store)) = (&cell, store_guard.as_mut()) {
-                    self.store_put(store, &self.cell_specs(&workloads), &cfg, run);
                 }
                 done.entry((workloads, fp)).or_insert(cell);
             }
@@ -973,14 +902,26 @@ impl<'s> SweepSession<'s> {
     }
 }
 
+/// Writes one freshly computed, verified-clean cell to the store, if one
+/// is attached. Runs on the pool worker that computed the cell. Write
+/// failures are reported but never fail the cell — the result still
+/// reaches the in-process memo.
+fn store_put(store: &SharedStore, key: &StoreKey, outcome: &RunOutcome) {
+    let payload = persist::encode_outcome(outcome);
+    let digest = outcome.result.stats_digest();
+    if let Some(store) = store.lock().expect("store lock").as_mut() {
+        if let Err(e) = store.put(key, &payload, digest) {
+            eprintln!("[store: write failed for {}: {e}]", outcome.workload);
+        }
+    }
+}
+
 /// Runs one (workload, machine) cell: the single path every sweep cell
 /// takes. `programs` holds one program per hardware thread (two for an
 /// SMT2 pair), and each thread retires `n / programs.len()` instructions.
 /// `fp` is the logical fingerprint the memo and the failure registry file
 /// the cell under, computed before the watchdog and chaos knobs applied
-/// here (harness instrumentation, not machine identity). With `ckpt`, the
-/// run resumes from the cell's newest checkpoint and snapshots at every
-/// interval boundary — bit-identical to the straight run. Verification is
+/// here (harness instrumentation, not machine identity). Verification is
 /// per cell: a failing run returns its quarantine bundle.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cell(
@@ -991,7 +932,6 @@ pub(crate) fn run_cell(
     n: RunLength,
     fp: u64,
     fault: Option<ChaosFault>,
-    ckpt: Option<&Checkpointer>,
     scratch: &mut SimScratch,
 ) -> CellOutcome {
     if fault == Some(ChaosFault::Panic) {
@@ -1004,20 +944,9 @@ pub(crate) fn run_cell(
         // starves, and the watchdog must abort with a frozen snapshot.
         cfg.wedge_after_retire = Some(per_thread / 2);
     }
-    let s = std::mem::take(scratch);
-    let mut result = match ckpt {
-        Some(ckpt) => {
-            let (result, s) = ckpt::run_checkpointed(programs, &cfg, s, per_thread, ckpt);
-            *scratch = s;
-            result
-        }
-        None => {
-            let mut core = Core::new_multi_with_scratch(programs.to_vec(), cfg, s);
-            let result = core.run(per_thread);
-            *scratch = core.into_scratch();
-            result
-        }
-    };
+    let mut core = Core::new_multi_with_scratch(programs.to_vec(), cfg, std::mem::take(scratch));
+    let mut result = core.run(per_thread);
+    *scratch = core.into_scratch();
     if fault == Some(ChaosFault::CorruptDigest) {
         // Simulated digest corruption: trip the §8.5 verification path
         // without touching the (shared, memoized) simulation inputs.

@@ -5,7 +5,8 @@
 
 use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 const FIGS: &[&str] = &["fig11", "fig14"];
 
@@ -18,9 +19,7 @@ fn run(store: Option<&Path>, extra: &[&str]) -> Output {
     cmd.args(extra);
     // The binary also reads these from the environment; tests must not
     // inherit a store from the invoking shell.
-    cmd.env_remove("SIM_STORE")
-        .env_remove("SIM_IO_CHAOS")
-        .env_remove("SIM_CKPT_INTERVAL");
+    cmd.env_remove("SIM_STORE").env_remove("SIM_IO_CHAOS");
     cmd.output().expect("binary runs")
 }
 
@@ -106,9 +105,16 @@ fn corrupted_record_and_torn_journal_quarantine_with_forensics() {
 
     // Flip one payload bit in one record and tear the journal tail — the
     // two damage classes the recovery machinery must classify separately.
+    // Cells are journaled in completion order, so the victim is a record
+    // whose journal entry is not the last one (the tear drops that entry).
+    let journal = dir.join("journal.log");
+    let entries = fs::read(&journal).unwrap();
+    let last = &entries[entries.len() - 33..];
+    let last_hash = u64::from_le_bytes(last[1..9].try_into().unwrap());
     let mut objects: Vec<PathBuf> = fs::read_dir(dir.join("objects"))
         .expect("objects dir")
         .map(|e| e.unwrap().path())
+        .filter(|p| !p.ends_with(format!("{last_hash:016x}.rec")))
         .collect();
     objects.sort();
     let victim = objects.first().expect("store has records");
@@ -116,8 +122,7 @@ fn corrupted_record_and_torn_journal_quarantine_with_forensics() {
     let n = bytes.len();
     bytes[n - 9] ^= 0x04;
     fs::write(victim, &bytes).unwrap();
-    let journal = dir.join("journal.log");
-    let jlen = fs::metadata(&journal).unwrap().len();
+    let jlen = entries.len() as u64;
     OpenOptions::new()
         .write(true)
         .open(&journal)
@@ -222,7 +227,6 @@ fn cell_store_probe_hits_a_sweep_populated_store() {
         .arg(&dir)
         .env_remove("SIM_STORE")
         .env_remove("SIM_IO_CHAOS")
-        .env_remove("SIM_CKPT_INTERVAL")
         .output()
         .expect("binary runs");
     assert!(sweep.status.success(), "sweep: {}", stderr(&sweep));
@@ -232,7 +236,6 @@ fn cell_store_probe_hits_a_sweep_populated_store() {
         .args(["cell", workload, "constable", "--quick"])
         .env("SIM_STORE", &dir)
         .env_remove("SIM_IO_CHAOS")
-        .env_remove("SIM_CKPT_INTERVAL")
         .output()
         .expect("binary runs");
     assert!(cell.status.success(), "cell: {}", stderr(&cell));
@@ -243,5 +246,95 @@ fn cell_store_probe_hits_a_sweep_populated_store() {
         .unwrap_or_else(|| panic!("no store probe line:\n{text}"));
     assert!(probe.contains("store probe: HIT"), "{probe}");
     assert!(probe.contains("matches this run"), "{probe}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The full-length sweep the kill-and-resume test interrupts: enough cells
+/// that it runs for seconds in a debug build and still has cells left to
+/// compute when the first one lands in a release build.
+fn resume_sweep(store: Option<&Path>) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
+    cmd.args(["fig11", "--subset", "4"]);
+    if let Some(dir) = store {
+        cmd.arg("--store-dir").arg(dir);
+    }
+    cmd.env_remove("SIM_STORE")
+        .env_remove("SIM_IO_CHAOS")
+        .env_remove("SIM_CHAOS");
+    cmd
+}
+
+/// Whether the store holds at least one durable, indexed cell: a record
+/// file in `objects/` and a complete journal entry (33 bytes) naming it.
+fn first_cell_landed(dir: &Path) -> bool {
+    let has_record = fs::read_dir(dir.join("objects")).is_ok_and(|mut it| {
+        it.any(|e| e.is_ok_and(|e| e.path().extension().is_some_and(|x| x == "rec")))
+    });
+    let journal_len = fs::metadata(dir.join("journal.log")).map_or(0, |m| m.len());
+    has_record && journal_len >= 33
+}
+
+/// A sweep SIGKILLed the moment its first cell is durable keeps that cell:
+/// each cell is persisted as soon as it verifies, not when its batch ends.
+/// The rerun must answer the finished cells from disk, compute the rest,
+/// and render figure text byte-identical to an uninterrupted store-less
+/// run. The first cell must also land early: a store written only after
+/// the whole batch finished would survive the same kill with a few cells,
+/// but only once all the simulation work was already done.
+#[test]
+fn killed_sweep_resumes_from_the_cells_it_finished() {
+    let dir = tmp_store("kill");
+    let reference = resume_sweep(None).output().expect("binary runs");
+    assert!(
+        reference.status.success(),
+        "reference: {}",
+        stderr(&reference)
+    );
+
+    let started = Instant::now();
+    let mut child = resume_sweep(Some(&dir))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary spawns");
+    loop {
+        if first_cell_landed(&dir) {
+            break;
+        }
+        if let Some(status) = child.try_wait().expect("poll the sweep") {
+            panic!("sweep finished ({status}) before its first cell was stored");
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let first_cell_at = started.elapsed();
+    child.kill().expect("SIGKILL the sweep");
+    let status = child.wait().expect("reap the sweep");
+    assert!(
+        !status.success(),
+        "the sweep must die mid-run, got {status}"
+    );
+
+    let rerun_started = Instant::now();
+    let resumed = resume_sweep(Some(&dir)).output().expect("binary runs");
+    let rerun_took = rerun_started.elapsed();
+    assert!(resumed.status.success(), "resumed: {}", stderr(&resumed));
+    let (hits, misses, writes, quarantined) = store_counters(&resumed);
+    assert!(
+        hits >= 1,
+        "the rerun must reuse the cells stored before the kill"
+    );
+    assert!(misses >= 1, "the kill must land before the sweep finished");
+    assert_eq!(writes, misses, "the rerun stores every cell it computes");
+    assert_eq!(quarantined, 0);
+    assert_eq!(stdout(&resumed), stdout(&reference));
+    // A cell takes a small fraction of the sweep, so the first one is
+    // durable long before the rerun has recomputed the cells it lost.
+    assert!(
+        first_cell_at * 2 < rerun_took,
+        "first cell stored after {first_cell_at:?}, but recomputing the \
+         {misses} lost cells took only {rerun_took:?}: cells are not persisted \
+         as they finish"
+    );
+
     let _ = fs::remove_dir_all(&dir);
 }

@@ -111,23 +111,6 @@ impl IoChaosPlan {
             None
         }
     }
-
-    /// Fault (if any) to inject right after the mid-run checkpoint object
-    /// for `key_hash` is durably written. An independent stream from
-    /// [`IoChaosPlan::fault_for_put`], so a damaged checkpoint and a
-    /// damaged result for the same cell are separate — and separately
-    /// reproducible — events.
-    pub fn fault_for_checkpoint(&self, key_hash: u64) -> Option<IoFault> {
-        let r = self.roll(7, key_hash);
-        if r % 16 >= self.rate_num {
-            return None;
-        }
-        Some(if r & 0x10000 == 0 {
-            IoFault::BitFlip
-        } else {
-            IoFault::TornWrite
-        })
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn compaction_and_checkpoint_streams_are_independent_and_deterministic() {
+    fn compaction_stream_is_a_deterministic_per_seed_coin_flip() {
         let a = IoChaosPlan::new(7);
         let b = IoChaosPlan::new(7);
         assert_eq!(a.compaction_tear(), b.compaction_tear());
@@ -178,17 +161,6 @@ mod tests {
         let plans = || (0..64u64).map(IoChaosPlan::new);
         assert!(plans().any(|p| p.compaction_tear().is_some()));
         assert!(plans().any(|p| p.compaction_tear().is_none()));
-        // Checkpoint faults are a separate stream from result-put faults
-        // at the same rate: same seed + key, different schedule somewhere.
-        let mut diverged = false;
-        let mut hit = 0;
-        for k in 0..1024u64 {
-            assert_eq!(a.fault_for_checkpoint(k), b.fault_for_checkpoint(k));
-            diverged |= a.fault_for_checkpoint(k) != a.fault_for_put(k);
-            hit += u32::from(a.fault_for_checkpoint(k).is_some());
-        }
-        assert!(diverged);
-        assert!((128..=384).contains(&hit));
     }
 
     #[test]

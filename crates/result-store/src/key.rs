@@ -52,12 +52,6 @@ impl StoreKey {
     pub fn object_name(&self) -> String {
         format!("{:016x}.rec", self.hash())
     }
-
-    /// The mid-run checkpoint file name this key addresses (relative to
-    /// `checkpoints/`).
-    pub fn checkpoint_name(&self) -> String {
-        format!("{:016x}.ckpt", self.hash())
-    }
 }
 
 impl Default for StoreKey {

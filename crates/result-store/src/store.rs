@@ -7,7 +7,6 @@
 //! LOCK          pid lock file (create_new; stale locks stolen)
 //! journal.log   append-only index (see `journal`)
 //! objects/      one record file per cell, named <key-hash>.rec
-//! checkpoints/  mid-run checkpoints, named <key-hash>.ckpt (not indexed)
 //! quarantine/   damaged record files, moved aside with forensics
 //! tmp/          staging for atomic writes (tmp → fsync → rename)
 //! ```
@@ -108,9 +107,6 @@ pub struct StoreStats {
     pub quarantined: u64,
     pub collisions: u64,
     pub compactions: u64,
-    pub ckpt_hits: u64,
-    pub ckpt_misses: u64,
-    pub ckpt_writes: u64,
 }
 
 const LOCK_FILE: &str = "LOCK";
@@ -256,13 +252,8 @@ impl ResultStore {
         self.root.join("objects").join(key.object_name())
     }
 
-    fn checkpoint_path(&self, key: &StoreKey) -> PathBuf {
-        self.root.join("checkpoints").join(key.checkpoint_name())
-    }
-
     /// Stages `rec` in `tmp/` under a process-and-write-unique name,
-    /// fsyncs, and renames it over `final_path` — the one atomic-write
-    /// path both result and checkpoint objects go through.
+    /// fsyncs, and renames it over `final_path`.
     fn write_atomic(&self, object_name: &str, rec: &[u8], final_path: &Path) -> io::Result<()> {
         // Unique to this process *and* this write, so two processes (or
         // two puts of colliding hashes) sharing the store can never
@@ -413,145 +404,7 @@ impl ResultStore {
         self.journal
             .append(JournalEntry::put(key_hash, payload_checksum, stats_digest))?;
         self.stats.writes += 1;
-        // The finished result supersedes any mid-run checkpoint for this
-        // cell: garbage-collect it so `checkpoints/` only ever holds state
-        // for cells that are still in flight.
-        let _ = fs::remove_file(self.checkpoint_path(key));
         Ok(())
-    }
-
-    /// Durable write of a mid-run checkpoint: staged in `tmp/`, fsynced,
-    /// renamed into `checkpoints/`. Same self-verifying record format as
-    /// results (embedded key bytes, payload checksum), with `state_digest`
-    /// riding in the header's digest slot so the resuming process can
-    /// cross-check the decoded state. A newer checkpoint for the same key
-    /// atomically replaces the older one, and the cell's final
-    /// [`ResultStore::put`] garbage-collects it.
-    ///
-    /// Checkpoints are deliberately **not** journaled: the record file is
-    /// self-verifying, a lost checkpoint only ever costs recomputation
-    /// from the start, and keeping them out of the index means a
-    /// checkpoint-heavy sweep never inflates journal compaction.
-    pub fn put_checkpoint(
-        &mut self,
-        key: &StoreKey,
-        payload: &[u8],
-        state_digest: u64,
-    ) -> io::Result<()> {
-        let key_hash = key.hash();
-        let rec = record::encode_record(key.bytes(), payload, state_digest);
-        let final_path = self.checkpoint_path(key);
-        self.write_atomic(&key.checkpoint_name(), &rec, &final_path)?;
-
-        if let Some(plan) = self.chaos {
-            if let Some(fault) = plan.fault_for_checkpoint(key_hash) {
-                inject_object_fault(
-                    &plan,
-                    &final_path,
-                    rec.len(),
-                    HEADER_LEN + key.bytes().len(),
-                    key_hash,
-                    fault,
-                )?;
-            }
-        }
-
-        self.stats.ckpt_writes += 1;
-        Ok(())
-    }
-
-    /// Verified read of a mid-run checkpoint. Absence is a plain miss
-    /// (checkpoints are not index entries, so nothing ever promised one
-    /// exists); damage quarantines the file — without touching the journal
-    /// — and reports forensics, and the caller recomputes from the start.
-    pub fn get_checkpoint(&mut self, key: &StoreKey) -> GetOutcome {
-        let key_hash = key.hash();
-        let path = self.checkpoint_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.stats.ckpt_misses += 1;
-                return GetOutcome::Miss;
-            }
-            Err(_) => {
-                let defect = self.checkpoint_defect(
-                    StoreDefectKind::Unreadable,
-                    key_hash,
-                    path.clone(),
-                    0,
-                    0,
-                    0,
-                );
-                self.quarantine_checkpoint(&path);
-                self.stats.ckpt_misses += 1;
-                return GetOutcome::Defect(defect);
-            }
-        };
-        match record::decode_record(&bytes) {
-            Ok((header, rec_key, payload)) => {
-                if rec_key != key.bytes() {
-                    self.stats.collisions += 1;
-                    self.stats.ckpt_misses += 1;
-                    return GetOutcome::Miss;
-                }
-                self.stats.ckpt_hits += 1;
-                GetOutcome::Hit {
-                    payload: payload.to_vec(),
-                    stats_digest: header.stats_digest,
-                }
-            }
-            Err(err) => {
-                let (kind, offset, expected, actual) = classify(&err, bytes.len());
-                let defect =
-                    self.checkpoint_defect(kind, key_hash, path.clone(), offset, expected, actual);
-                self.quarantine_checkpoint(&path);
-                self.stats.ckpt_misses += 1;
-                GetOutcome::Defect(defect)
-            }
-        }
-    }
-
-    /// Drops the checkpoint for `key`, if any (e.g. after a caller-side
-    /// digest mismatch on the decoded state). Best-effort.
-    pub fn remove_checkpoint(&mut self, key: &StoreKey) {
-        let _ = fs::remove_file(self.checkpoint_path(key));
-    }
-
-    fn checkpoint_defect(
-        &self,
-        kind: StoreDefectKind,
-        key_hash: u64,
-        path: PathBuf,
-        offset: u64,
-        expected: u64,
-        actual: u64,
-    ) -> StoreDefect {
-        let injected = self
-            .chaos
-            .as_ref()
-            .is_some_and(|p| p.fault_for_checkpoint(key_hash).is_some());
-        StoreDefect {
-            kind,
-            key_hash,
-            path,
-            offset,
-            expected,
-            actual,
-            injected,
-        }
-    }
-
-    /// Moves a damaged checkpoint into `quarantine/`. Unlike
-    /// [`ResultStore::quarantine_object`] there is no index entry to drop.
-    fn quarantine_checkpoint(&mut self, path: &Path) {
-        if path.exists() {
-            let dest = self
-                .root
-                .join("quarantine")
-                .join(path.file_name().unwrap_or_default());
-            let _ = fs::rename(path, &dest);
-        }
-        self.stats.quarantined += 1;
     }
 
     /// Caller-detected damage (e.g. the decoded payload's recomputed stats
@@ -609,7 +462,6 @@ impl Drop for ResultStore {
 fn create_layout(root: &Path) -> io::Result<()> {
     fs::create_dir_all(root)?;
     fs::create_dir_all(root.join("objects"))?;
-    fs::create_dir_all(root.join("checkpoints"))?;
     fs::create_dir_all(root.join("quarantine"))?;
     fs::create_dir_all(root.join("tmp"))?;
     Ok(())
@@ -656,10 +508,9 @@ fn classify(err: &RecordError, file_len: usize) -> (StoreDefectKind, u64, u64, u
     }
 }
 
-/// Applies a scheduled post-write fault to a durably-written object file.
-/// Shared by result and checkpoint puts so both object kinds see identical
-/// damage shapes: a torn tail (never past the first byte) or one flipped
-/// payload bit at a seed-derived index.
+/// Applies a scheduled post-write fault to a durably-written object file:
+/// a torn tail (never past the first byte) or one flipped payload bit at a
+/// seed-derived index.
 fn inject_object_fault(
     plan: &IoChaosPlan,
     path: &Path,
@@ -1050,80 +901,6 @@ mod tests {
         assert!(process_alive(std::process::id()));
         #[cfg(target_os = "linux")]
         assert!(!process_alive(4_194_999));
-    }
-
-    #[test]
-    fn checkpoint_round_trips_and_is_gced_by_the_final_result() {
-        let root = tmp_root("ckpt");
-        let k = key(42);
-        {
-            let mut s = ResultStore::open(&root, None).unwrap();
-            assert!(matches!(s.get_checkpoint(&k), GetOutcome::Miss));
-            s.put_checkpoint(&k, b"mid-run state v1", 0xAA).unwrap();
-        }
-        // Checkpoints are not index entries: a fresh open sees an empty
-        // store but still serves the checkpoint.
-        let mut s = ResultStore::open(&root, None).unwrap();
-        assert_eq!(s.len(), 0);
-        match s.get_checkpoint(&k) {
-            GetOutcome::Hit {
-                payload,
-                stats_digest,
-            } => {
-                assert_eq!(payload, b"mid-run state v1");
-                assert_eq!(stats_digest, 0xAA);
-            }
-            other => panic!("expected checkpoint hit, got {other:?}"),
-        }
-        // A newer checkpoint atomically replaces the older one in place.
-        s.put_checkpoint(&k, b"mid-run state v2", 0xBB).unwrap();
-        match s.get_checkpoint(&k) {
-            GetOutcome::Hit {
-                payload,
-                stats_digest,
-            } => {
-                assert_eq!(payload, b"mid-run state v2");
-                assert_eq!(stats_digest, 0xBB);
-            }
-            other => panic!("expected checkpoint hit, got {other:?}"),
-        }
-        // The finished result supersedes and garbage-collects it.
-        s.put(&k, b"final result", 0xCC).unwrap();
-        assert!(!root.join("checkpoints").join(k.checkpoint_name()).exists());
-        assert!(matches!(s.get_checkpoint(&k), GetOutcome::Miss));
-        assert!(matches!(s.get(&k), GetOutcome::Hit { .. }));
-        let st = s.stats();
-        assert_eq!((st.ckpt_writes, st.ckpt_hits, st.ckpt_misses), (1, 2, 1));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn damaged_checkpoint_is_quarantined_and_recomputes_as_miss() {
-        let root = tmp_root("ckpt-damage");
-        let mut s = ResultStore::open(&root, None).unwrap();
-        let k = key(7);
-        s.put_checkpoint(&k, b"resumable state", 0x7).unwrap();
-        // Bit-rot one payload byte on disk.
-        let path = root.join("checkpoints").join(k.checkpoint_name());
-        let mut bytes = fs::read(&path).unwrap();
-        let body = HEADER_LEN + k.bytes().len();
-        bytes[body + 1] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
-        match s.get_checkpoint(&k) {
-            GetOutcome::Defect(d) => {
-                assert_eq!(d.kind, StoreDefectKind::Corrupt);
-                assert!(!d.injected);
-            }
-            other => panic!("expected defect, got {other:?}"),
-        }
-        assert!(!path.exists(), "damaged checkpoint leaves checkpoints/");
-        assert!(root.join("quarantine").join(k.checkpoint_name()).exists());
-        // The journal was never touched — quarantining a checkpoint must
-        // not append a delete for an index entry that does not exist — and
-        // the retry is a plain miss (recompute from the start).
-        assert_eq!(s.len(), 0);
-        assert!(matches!(s.get_checkpoint(&k), GetOutcome::Miss));
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use crate::stats::CoreStats;
 use crate::trace::{self, StallClass, TraceRecorder, TraceSummary, UopTrace};
 use crate::uop::{Fetched, Tag, Uop, UopStamps, UopState};
 use constable::{Constable, IdealConfig, LoadRename, StackState, XprfSlot};
-use sim_isa::{AluOp, ArchReg, BranchKind, CodecError, Dec, DynInst, Enc, InstClass, OpKind, Pc};
+use sim_isa::{AluOp, ArchReg, BranchKind, DynInst, InstClass, OpKind, Pc};
 use sim_mem::{line_addr, EvictionSink, MemoryHierarchy, SnoopInjector};
 use sim_predictors::{Elar, Eves, Mrn, ReturnStack, StoreSets, Tage};
 use sim_workload::{Machine, Program};
@@ -403,11 +403,6 @@ pub struct Core<'p> {
     /// vp_wrong forensics path checks this cached bool instead of paying
     /// an environment lookup per misprediction event.
     vp_debug: bool,
-    /// Sliced-run abort state, carried across [`Core::run_slice`] calls:
-    /// set when the cycle guard trips / the watchdog freezes,
-    /// consumed by [`Core::seal_result`].
-    hit_guard: bool,
-    watchdog_snap: Option<crate::fault::FrozenSnapshot>,
 }
 
 // Thin alias so the field reads naturally.
@@ -508,8 +503,6 @@ impl<'p> Core<'p> {
             last_retire_cycle: 0,
             tracer: None,
             vp_debug: std::env::var_os("SIM_VP_DEBUG").is_some(),
-            hit_guard: false,
-            watchdog_snap: None,
             cfg,
         }
     }
@@ -545,31 +538,13 @@ impl<'p> Core<'p> {
     }
 
     /// Runs until every thread has retired `target_per_thread` instructions
-    /// (or a generous cycle guard trips).
+    /// (or a generous cycle guard trips, or the forward-progress watchdog
+    /// aborts with a frozen snapshot).
     pub fn run(&mut self, target_per_thread: u64) -> SimResult {
-        while self.run_slice(target_per_thread, u64::MAX) {}
-        self.seal_result()
-    }
-
-    /// Advances the model by at most `cycle_budget` loop iterations toward
-    /// `target_per_thread` retired instructions per thread. Returns `true`
-    /// while the run needs more slices, `false` once it finished (target
-    /// reached, cycle guard, or watchdog — recorded in fields
-    /// that [`Core::seal_result`] consumes).
-    ///
-    /// This is the whole former `run` loop with a resumable budget bolted
-    /// on: all loop state lives in the core, so slicing changes *when* the
-    /// host regains control, never what the model computes — a sliced run
-    /// is bit-identical to a monolithic one. Checkpointing hosts use it to
-    /// stop at a coherent point every N iterations.
-    pub fn run_slice(&mut self, target_per_thread: u64, cycle_budget: u64) -> bool {
         let guard = 400 * target_per_thread + 2_000_000;
-        let mut spent: u64 = 0;
+        let mut hit_guard = false;
+        let mut watchdog = None;
         while self.threads.iter().any(|t| t.retired < target_per_thread) {
-            if spent >= cycle_budget {
-                return true;
-            }
-            spent += 1;
             self.cycle_work = false;
             self.complete_phase();
             self.retire_phase();
@@ -645,23 +620,25 @@ impl<'p> Core<'p> {
             // abort instead of spinning to the much larger cycle guard.
             if let Some(budget) = self.cfg.watchdog_no_retire {
                 if self.now - self.last_retire_cycle > budget {
-                    self.watchdog_snap = Some(self.freeze_snapshot());
-                    return false;
+                    watchdog = Some(self.freeze_snapshot());
+                    break;
                 }
             }
             if self.now >= guard {
-                self.hit_guard = true;
-                return false;
+                hit_guard = true;
+                break;
             }
         }
-        false
+        self.seal_result(hit_guard, watchdog)
     }
 
     /// Folds the memory-hierarchy and Constable counters into the stats
-    /// and builds the run's [`SimResult`]. Call exactly once, after
-    /// [`Core::run_slice`] has returned `false` (done by [`Core::run`] and
-    /// by sliced hosts).
-    pub fn seal_result(&mut self) -> SimResult {
+    /// and builds the run's [`SimResult`].
+    fn seal_result(
+        &mut self,
+        hit_cycle_guard: bool,
+        watchdog: Option<crate::fault::FrozenSnapshot>,
+    ) -> SimResult {
         self.stats.cycles = self.now;
         // Fold hierarchy counters into the core stats.
         let h = self.mem.stats();
@@ -682,9 +659,9 @@ impl<'p> Core<'p> {
         SimResult {
             stats: self.stats.clone(),
             retired_per_thread: self.threads.iter().map(|t| t.retired).collect(),
-            hit_cycle_guard: self.hit_guard,
+            hit_cycle_guard,
             first_mismatch: self.first_mismatch,
-            watchdog: self.watchdog_snap.take(),
+            watchdog,
         }
     }
 
@@ -2326,468 +2303,5 @@ impl<'p> Core<'p> {
                 self.flush_from(vtid, v);
             }
         }
-    }
-}
-
-// --------------------------------------------------------------- checkpoint
-
-/// Decodes a ring of window tags, bound-checked against the slab length.
-fn decode_tag_ring(
-    ring: &mut VecDeque<Tag>,
-    window_len: usize,
-    d: &mut Dec<'_>,
-) -> Result<(), CodecError> {
-    ring.clear();
-    let n = d.seq_len()?;
-    for _ in 0..n {
-        let at = d.pos();
-        let tag: Tag = d.usize()?;
-        if tag >= window_len {
-            return Err(CodecError::BadLength {
-                at,
-                len: tag as u64,
-            });
-        }
-        ring.push_back(tag);
-    }
-    Ok(())
-}
-
-impl<'p> Thread<'p> {
-    /// Appends every piece of per-thread dynamic state to a checkpoint
-    /// stream. Exhaustive destructure: adding a `Thread` field without
-    /// deciding its checkpoint fate is a compile error here. `id`,
-    /// `program`, and `rob_cap` are geometry re-derived by the restore
-    /// constructor; `machine` travels in the tape section of the
-    /// core-level stream (see [`Core::checkpoint`]).
-    fn encode_state(&self, e: &mut Enc) {
-        let Thread {
-            id: _,
-            program: _,
-            machine: _,
-            pending,
-            cursor,
-            rob,
-            rob_cap: _,
-            stores,
-            loads,
-            ready,
-            rob_pushed,
-            rob_head,
-            writer_pending,
-            idq,
-            ras,
-            wrong_path,
-            wp_seq_counter,
-            fetch_stall_until,
-            stack_rename,
-            stack_retired,
-            last_writer,
-            last_write_seq,
-            retired,
-            vp_history,
-        } = self;
-        e.seq_len(pending.len());
-        for r in pending {
-            r.encode(e);
-        }
-        e.usize(*cursor);
-        for ring in [rob, stores, loads] {
-            e.seq_len(ring.len());
-            for &tag in ring {
-                e.usize(tag);
-            }
-        }
-        ready.encode(e);
-        e.u64(*rob_pushed);
-        e.u64(*rob_head);
-        e.u32(*writer_pending);
-        e.seq_len(idq.len());
-        for f in idq {
-            crate::ckpt::encode_fetched(f, e);
-        }
-        ras.encode(e);
-        e.opt(wrong_path, |e, wp| {
-            e.u32(wp.next_sidx);
-            e.u64(wp.cause_seq);
-        });
-        e.u64(*wp_seq_counter);
-        e.u64(*fetch_stall_until);
-        crate::ckpt::encode_stack(stack_rename, e);
-        crate::ckpt::encode_stack(stack_retired, e);
-        for w in last_writer {
-            e.opt(w, |e, &(tag, uid)| {
-                e.usize(tag);
-                e.u64(uid);
-            });
-        }
-        for &s in last_write_seq {
-            e.u64(s);
-        }
-        e.u64(*retired);
-        e.u64(*vp_history);
-    }
-
-    /// Refills this (freshly built) thread from a checkpoint stream written
-    /// by [`Thread::encode_state`]. Slab tags and thread references are
-    /// bound-checked so a corrupt stream fails cleanly instead of indexing
-    /// out of range.
-    fn decode_state_into(&mut self, window_len: usize, d: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.pending.clear();
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            self.pending.push_back(DynInst::decode(d)?);
-        }
-        let at = d.pos();
-        self.cursor = d.usize()?;
-        if self.cursor > self.pending.len() {
-            return Err(CodecError::BadLength {
-                at,
-                len: self.cursor as u64,
-            });
-        }
-        decode_tag_ring(&mut self.rob, window_len, d)?;
-        decode_tag_ring(&mut self.stores, window_len, d)?;
-        decode_tag_ring(&mut self.loads, window_len, d)?;
-        self.ready.decode_into(window_len, d)?;
-        self.rob_pushed = d.u64()?;
-        self.rob_head = d.u64()?;
-        self.writer_pending = d.u32()?;
-        self.idq.clear();
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            let at = d.pos();
-            let f = crate::ckpt::decode_fetched(self.id + 1, d)?;
-            if f.thread != self.id {
-                return Err(CodecError::BadLength {
-                    at,
-                    len: f.thread as u64,
-                });
-            }
-            self.idq.push_back(f);
-        }
-        self.ras = ReturnStack::decode(d)?;
-        self.wrong_path = d.opt(|d| {
-            Ok(WrongPath {
-                next_sidx: d.u32()?,
-                cause_seq: d.u64()?,
-            })
-        })?;
-        self.wp_seq_counter = d.u64()?;
-        self.fetch_stall_until = d.u64()?;
-        self.stack_rename = crate::ckpt::decode_stack(d)?;
-        self.stack_retired = crate::ckpt::decode_stack(d)?;
-        for w in self.last_writer.iter_mut() {
-            *w = d.opt(|d| {
-                let at = d.pos();
-                let tag: Tag = d.usize()?;
-                if tag >= window_len {
-                    return Err(CodecError::BadLength {
-                        at,
-                        len: tag as u64,
-                    });
-                }
-                Ok((tag, d.u64()?))
-            })?;
-        }
-        for s in self.last_write_seq.iter_mut() {
-            *s = d.u64()?;
-        }
-        self.retired = d.u64()?;
-        self.vp_history = d.u64()?;
-        Ok(())
-    }
-}
-
-impl<'p> Core<'p> {
-    /// Serializes the complete mid-run state of the core into a versioned,
-    /// self-describing byte checkpoint. Call only at a slice boundary —
-    /// i.e. after [`Core::run_slice`] has returned (the per-cycle scratch
-    /// buffers are coherent there, and only there).
-    ///
-    /// The checkpoint captures everything the model computes from:
-    /// each thread's functional machine at its pull point, every
-    /// per-thread queue and rename structure, the µop window slab, the
-    /// completion calendar, the cache/DRAM hierarchy, every predictor, the
-    /// Constable engine, and all statistics. A frozen watchdog snapshot is
-    /// host-side forensics, deliberately *not* state of the model, and is
-    /// dropped: a restored core re-runs [`Core::run_slice`] under the
-    /// host's fresh watchdog policy.
-    ///
-    /// Restoring with [`Core::restore`] under the same config and programs
-    /// yields a core whose continued execution is bit-identical to this
-    /// one's — same cycle counts, same statistics, same trace digests. The
-    /// trace-oracle suite re-derives every committed golden row through a
-    /// mid-run checkpoint to keep that claim locked.
-    ///
-    /// # Panics
-    /// Panics if the run already tripped the cycle guard (such a run is
-    /// broken evidence — persisting it would launder the failure).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        assert!(
-            !self.hit_guard,
-            "cannot checkpoint a run that tripped the cycle guard"
-        );
-        debug_assert!(
-            self.evict.is_empty(),
-            "eviction sink drains within each cycle"
-        );
-        let mut e = Enc::with_capacity(64 * 1024);
-        e.u32(crate::ckpt::CKPT_FORMAT_VERSION);
-        e.u64(self.cfg.fingerprint());
-        e.u8(self.threads.len() as u8);
-        for th in &self.threads {
-            e.u64(crate::ckpt::program_fingerprint(th.program));
-        }
-        // Tape sections: the functional state each thread resumes pulling
-        // records from, encoded as (pull point, replay-record count,
-        // machine). The machine sits exactly at the pull point, so the
-        // count is always 0; it stays in the layout so format-v1
-        // checkpoints keep their bytes.
-        for th in &self.threads {
-            e.u64(th.machine.executed());
-            e.seq_len(0);
-            th.machine.encode(&mut e);
-        }
-        for th in &self.threads {
-            th.encode_state(&mut e);
-        }
-        // Core-level state, in declaration order except `now` first (the
-        // completion calendar's decoder needs the clock before the events).
-        e.u64(self.now);
-        e.u64(self.next_uid);
-        e.u64(self.rename_block_until);
-        e.usize(self.rotor.fetch);
-        e.usize(self.rotor.rename);
-        e.u64(self.issue_seq);
-        e.bool(self.issue_quiescent);
-        e.u64(self.last_retire_cycle);
-        e.usize(self.rs_used);
-        e.usize(self.lb_used);
-        e.usize(self.sb_used);
-        e.seq_len(self.window.len());
-        for u in &self.window {
-            crate::ckpt::encode_uop(u, &mut e);
-        }
-        e.seq_len(self.free_slots.len());
-        for &tag in &self.free_slots {
-            e.usize(tag);
-        }
-        self.events.encode(self.now, &mut e);
-        self.inflight_loads.encode(&mut e);
-        self.mem.encode(&mut e);
-        for t in &self.tage {
-            t.encode(&mut e);
-        }
-        if let Some(x) = &self.eves {
-            x.encode(&mut e);
-        }
-        if let Some(x) = &self.mrn {
-            x.encode(&mut e);
-        }
-        self.storesets.encode(&mut e);
-        if let Some(x) = &self.cons {
-            x.encode(&mut e);
-        }
-        if let Some(x) = &self.elar {
-            x.encode(&mut e);
-        }
-        if let Some(x) = &self.rfp {
-            x.encode(&mut e);
-        }
-        self.injector.encode(&mut e);
-        self.stats.encode(&mut e);
-        e.opt(&self.first_mismatch, |e, m| {
-            crate::ckpt::encode_mismatch(m, e)
-        });
-        // The tracer (and its parallel stamp slab) rides along only when
-        // attached, so trace-free checkpoints pay one bool.
-        match &self.tracer {
-            Some(tr) => {
-                e.bool(true);
-                tr.encode(&mut e);
-                for s in &self.stamps {
-                    let UopStamps {
-                        fetched_at,
-                        renamed_at,
-                        issued_at,
-                        issue_order,
-                    } = s;
-                    e.u64(*fetched_at);
-                    e.u64(*renamed_at);
-                    e.u64(*issued_at);
-                    e.u64(*issue_order);
-                }
-            }
-            None => e.bool(false),
-        }
-        e.into_bytes()
-    }
-
-    /// Rebuilds a core from a [`Core::checkpoint`] byte stream and the same
-    /// `programs`/`cfg` the checkpoint was taken under (validated against
-    /// the header fingerprints — a checkpoint never restores into a
-    /// different experiment). Continued execution is bit-identical to the
-    /// original run's.
-    ///
-    /// Each restored thread owns the private functional machine decoded
-    /// from its tape section. A nonzero replay-record count (a layout no
-    /// current writer produces) is rejected as malformed.
-    pub fn restore(
-        programs: Vec<&'p Program>,
-        cfg: CoreConfig,
-        scratch: SimScratch,
-        bytes: &[u8],
-    ) -> Result<Self, crate::ckpt::CkptError> {
-        use crate::ckpt::CkptError;
-        let mut dec = Dec::new(bytes);
-        let d = &mut dec;
-        let found = d.u32()?;
-        if found != crate::ckpt::CKPT_FORMAT_VERSION {
-            return Err(CkptError::Version {
-                found,
-                expected: crate::ckpt::CKPT_FORMAT_VERSION,
-            });
-        }
-        let found_cfg = d.u64()?;
-        let expected_cfg = cfg.fingerprint();
-        if found_cfg != expected_cfg {
-            return Err(CkptError::ConfigMismatch {
-                found: found_cfg,
-                expected: expected_cfg,
-            });
-        }
-        let found_n = usize::from(d.u8()?);
-        if found_n != programs.len() {
-            return Err(CkptError::ThreadCount {
-                found: found_n,
-                expected: programs.len(),
-            });
-        }
-        for (thread, p) in programs.iter().enumerate() {
-            let found = d.u64()?;
-            let expected = crate::ckpt::program_fingerprint(p);
-            if found != expected {
-                return Err(CkptError::ProgramMismatch {
-                    thread,
-                    found,
-                    expected,
-                });
-            }
-        }
-        let mut machines = Vec::with_capacity(programs.len());
-        for &p in &programs {
-            let base = d.u64()?;
-            let at = d.pos();
-            let n = d.seq_len()?;
-            if n != 0 {
-                return Err(CkptError::Codec(CodecError::BadLength {
-                    at,
-                    len: n as u64,
-                }));
-            }
-            let at = d.pos();
-            let machine = Machine::decode(p, d)?;
-            if machine.executed() != base {
-                return Err(CkptError::Codec(CodecError::BadLength { at, len: base }));
-            }
-            machines.push(machine);
-        }
-        let mut core = Self::build(programs, machines, cfg, scratch);
-        let window_len = core.window.len();
-        let nthreads = core.threads.len();
-        for th in core.threads.iter_mut() {
-            th.decode_state_into(window_len, d)?;
-        }
-        core.now = d.u64()?;
-        core.next_uid = d.u64()?;
-        core.rename_block_until = d.u64()?;
-        let at = d.pos();
-        let rf = d.usize()?;
-        let rr = d.usize()?;
-        if rf >= nthreads || rr >= nthreads {
-            return Err(CkptError::Codec(CodecError::BadLength {
-                at,
-                len: rf.max(rr) as u64,
-            }));
-        }
-        core.rotor.fetch = rf;
-        core.rotor.rename = rr;
-        core.issue_seq = d.u64()?;
-        core.issue_quiescent = d.bool()?;
-        core.last_retire_cycle = d.u64()?;
-        core.rs_used = d.usize()?;
-        core.lb_used = d.usize()?;
-        core.sb_used = d.usize()?;
-        let at = d.pos();
-        let wn = d.seq_len()?;
-        if wn != window_len {
-            return Err(CkptError::Codec(CodecError::BadLength {
-                at,
-                len: wn as u64,
-            }));
-        }
-        for i in 0..wn {
-            core.window[i] = crate::ckpt::decode_uop(window_len, nthreads, d)?;
-        }
-        core.free_slots.clear();
-        let at = d.pos();
-        let nf = d.seq_len()?;
-        if nf > window_len {
-            return Err(CkptError::Codec(CodecError::BadLength {
-                at,
-                len: nf as u64,
-            }));
-        }
-        for _ in 0..nf {
-            let at = d.pos();
-            let tag: Tag = d.usize()?;
-            if tag >= window_len {
-                return Err(CkptError::Codec(CodecError::BadLength {
-                    at,
-                    len: tag as u64,
-                }));
-            }
-            core.free_slots.push(tag);
-        }
-        core.events.decode_into(core.now, window_len, d)?;
-        core.inflight_loads.decode_into(d)?;
-        core.mem = MemoryHierarchy::decode(core.cfg.mem, d)?;
-        for t in core.tage.iter_mut() {
-            *t = Tage::decode(d)?;
-        }
-        if core.eves.is_some() {
-            core.eves = Some(Eves::decode(d)?);
-        }
-        if core.mrn.is_some() {
-            core.mrn = Some(Mrn::decode(d)?);
-        }
-        core.storesets = StoreSets::decode(d)?;
-        if core.cons.is_some() {
-            let ccfg = core.cfg.constable.clone().expect("cons implies config");
-            core.cons = Some(Constable::decode(ccfg, d)?);
-        }
-        if core.elar.is_some() {
-            core.elar = Some(Elar::decode(d)?);
-        }
-        if core.rfp.is_some() {
-            core.rfp = Some(Rfp2::decode(d)?);
-        }
-        core.injector = SnoopInjector::decode(d)?;
-        core.stats = CoreStats::decode(d)?;
-        core.first_mismatch = d.opt(crate::ckpt::decode_mismatch)?;
-        if d.bool()? {
-            core.tracer = Some(TraceRecorder::decode(d)?);
-            for s in core.stamps.iter_mut() {
-                *s = UopStamps {
-                    fetched_at: d.u64()?,
-                    renamed_at: d.u64()?,
-                    issued_at: d.u64()?,
-                    issue_order: d.u64()?,
-                };
-            }
-        }
-        dec.finish()?;
-        Ok(core)
     }
 }

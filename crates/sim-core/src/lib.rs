@@ -16,7 +16,6 @@
 //! println!("IPC = {:.3}", result.ipc());
 //! ```
 
-mod ckpt;
 mod config;
 mod core;
 mod fault;
@@ -28,7 +27,6 @@ mod trace;
 mod uop;
 
 pub use crate::core::{Core, SimResult};
-pub use ckpt::{CkptError, CKPT_FORMAT_VERSION};
 pub use config::CoreConfig;
 pub use fault::{FrozenSnapshot, GoldenMismatch, SimError};
 pub use hash::FastHashMap;

@@ -12,7 +12,6 @@
 //! slot stays claimed until the next [`PcCountTable::clear`] (a run has a
 //! bounded static-PC population, so occupancy plateaus quickly).
 
-use sim_isa::{CodecError, Dec, Enc};
 use std::hash::Hasher;
 
 /// Sentinel key marking an empty slot. PCs are program addresses plus a
@@ -117,52 +116,6 @@ impl PcCountTable {
                 self.slots[i] = (pc, count);
             }
         }
-    }
-
-    /// Appends every claimed entry — including zero-count slots, which stay
-    /// claimed until `clear` — sorted by PC, to a checkpoint stream. The
-    /// table's capacity is not encoded: occupancy, not layout, is the
-    /// modelled state.
-    pub fn encode(&self, e: &mut Enc) {
-        let mut entries: Vec<(u64, u32)> = self
-            .slots
-            .iter()
-            .filter(|&&(pc, _)| pc != EMPTY)
-            .copied()
-            .collect();
-        entries.sort_unstable();
-        e.seq_len(entries.len());
-        for (pc, count) in entries {
-            e.u64(pc);
-            e.u32(count);
-        }
-    }
-
-    /// Refills the table from a checkpoint stream written by
-    /// [`PcCountTable::encode`]. The capacity may differ from the encoding
-    /// table's (growth replays from the entry count), which is invisible to
-    /// every query.
-    pub fn decode_into(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.clear();
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            let at = d.pos();
-            let pc = d.u64()?;
-            if pc == EMPTY {
-                return Err(CodecError::BadLength { at, len: u64::MAX });
-            }
-            let count = d.u32()?;
-            let i = self.probe(pc);
-            if self.slots[i].0 == pc {
-                return Err(CodecError::BadLength { at, len: n as u64 });
-            }
-            self.slots[i] = (pc, count);
-            self.len += 1;
-            if self.len * 4 >= self.slots.len() * 3 {
-                self.grow();
-            }
-        }
-        Ok(())
     }
 }
 

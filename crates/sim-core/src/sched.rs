@@ -42,7 +42,7 @@
 
 use crate::pctab::PcCountTable;
 use crate::uop::{Fetched, Tag, Uop, UopStamps};
-use sim_isa::{CodecError, Dec, DynInst, Enc};
+use sim_isa::DynInst;
 use sim_mem::EvictionSink;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -122,49 +122,6 @@ impl ReadyQueue {
 
     pub(crate) fn clear(&mut self) {
         self.keys.clear();
-    }
-
-    /// Appends the queue's keys (already in canonical ascending order) to a
-    /// checkpoint stream.
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        e.seq_len(self.keys.len());
-        for &(pos, tag) in &self.keys {
-            e.u64(pos);
-            e.usize(tag);
-        }
-    }
-
-    /// Refills the queue from a checkpoint stream. Tags must index the µop
-    /// slab (`window_len`); the ascending key invariant is revalidated so a
-    /// corrupt stream cannot break binary search.
-    pub(crate) fn decode_into(
-        &mut self,
-        window_len: usize,
-        d: &mut Dec<'_>,
-    ) -> Result<(), CodecError> {
-        self.keys.clear();
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            let pos = d.u64()?;
-            let at = d.pos();
-            let tag = d.usize()?;
-            if tag >= window_len {
-                return Err(CodecError::BadLength {
-                    at,
-                    len: tag as u64,
-                });
-            }
-            if let Some(&last) = self.keys.last() {
-                if last >= (pos, tag) {
-                    return Err(CodecError::BadLength {
-                        at,
-                        len: tag as u64,
-                    });
-                }
-            }
-            self.keys.push((pos, tag));
-        }
-        Ok(())
     }
 }
 
@@ -295,73 +252,6 @@ impl CompletionQueue {
         self.occupied = [0; WHEEL_SLOTS / 64];
         self.len = 0;
         self.overflow.clear();
-    }
-
-    /// Encodes every pending event as an absolute
-    /// `(complete_at, seq, uid, tag)` tuple, sorted, so the byte stream is
-    /// canonical regardless of wheel rotation or push order.
-    ///
-    /// A wheel slot's absolute cycle is recovered from its index: at a
-    /// slice boundary every wheel event is due in `[now, now + WHEEL - 1]`
-    /// (events are pushed at least one cycle out and every slot at or
-    /// before `now - 1` was drained), so the distance from `now`'s own slot
-    /// to the event's slot, mod `WHEEL_SLOTS`, is exact.
-    pub(crate) fn encode(&self, now: u64, e: &mut Enc) {
-        let mask = WHEEL_SLOTS - 1;
-        let base = now as usize & mask;
-        let mut all: Vec<(u64, u64, u64, Tag)> = Vec::with_capacity(self.len + self.overflow.len());
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if slot.is_empty() {
-                continue;
-            }
-            let dist = (idx + WHEEL_SLOTS - base) & mask;
-            let at = now + dist as u64;
-            for &(seq, uid, tag) in slot {
-                all.push((at, seq, uid, tag));
-            }
-        }
-        for &Reverse((at, seq, uid, tag)) in self.overflow.iter() {
-            all.push((at, seq, uid, tag));
-        }
-        all.sort_unstable();
-        e.seq_len(all.len());
-        for (at, seq, uid, tag) in all {
-            e.u64(at);
-            e.u64(seq);
-            e.u64(uid);
-            e.usize(tag);
-        }
-    }
-
-    /// Refills the queue from a checkpoint stream written by
-    /// [`CompletionQueue::encode`] at the same `now`. Events are re-pushed
-    /// anchored one cycle early so an event due exactly at `now` — pending
-    /// at a slice boundary, delivered when cycle `now` runs — is not
-    /// clamped to `now + 1`.
-    pub(crate) fn decode_into(
-        &mut self,
-        now: u64,
-        window_len: usize,
-        d: &mut Dec<'_>,
-    ) -> Result<(), CodecError> {
-        self.clear();
-        let anchor = now.saturating_sub(1);
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            let at = d.u64()?;
-            let seq = d.u64()?;
-            let uid = d.u64()?;
-            let tag_at = d.pos();
-            let tag = d.usize()?;
-            if tag >= window_len {
-                return Err(CodecError::BadLength {
-                    at: tag_at,
-                    len: tag as u64,
-                });
-            }
-            self.push(at, seq, uid, tag, anchor);
-        }
-        Ok(())
     }
 }
 

@@ -1,6 +1,5 @@
 //! Core statistics: every counter a paper figure needs.
 
-use sim_isa::{CodecError, Dec, Enc};
 use sim_stats::Histogram;
 
 /// Aggregate statistics of one simulation run.
@@ -140,209 +139,6 @@ impl Default for CoreStats {
 }
 
 impl CoreStats {
-    /// Appends every counter to a checkpoint stream in declaration order.
-    /// Exhaustive destructuring: adding a field breaks this at compile
-    /// time, forcing a conscious decision (and a format-version bump).
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let CoreStats {
-            cycles,
-            retired,
-            retired_loads,
-            retired_stores,
-            retired_branches,
-            fetched,
-            fetched_wrong_path,
-            branch_mispredicts,
-            rob_allocs,
-            rs_allocs,
-            lb_allocs,
-            sb_allocs,
-            load_utilized_cycles,
-            load_cycles_stable_blocking,
-            load_cycles_stable_free,
-            loads_issued,
-            agu_uses,
-            vp_used,
-            vp_wrong,
-            mrn_forwarded,
-            mrn_wrong,
-            loads_eliminated,
-            elim_violations,
-            rename_stalls_sld_read,
-            rename_stalls_sld_write,
-            sld_updates_per_cycle,
-            cv_pins,
-            arm_guard_blocked,
-            elar_resolved,
-            rfp_address_hits,
-            ordering_violations,
-            golden_mismatches,
-            l1d_accesses,
-            l2_accesses,
-            dram_accesses,
-            snoops_delivered,
-            per_pc_loads,
-            vp_wrong_pcs,
-            decoded,
-            renamed,
-            alu_execs,
-            dtlb_accesses,
-            sld_reads,
-            sld_writes,
-            amt_probes,
-            eves_lookups,
-        } = self;
-        for v in [
-            cycles,
-            retired,
-            retired_loads,
-            retired_stores,
-            retired_branches,
-            fetched,
-            fetched_wrong_path,
-            branch_mispredicts,
-            rob_allocs,
-            rs_allocs,
-            lb_allocs,
-            sb_allocs,
-            load_utilized_cycles,
-            load_cycles_stable_blocking,
-            load_cycles_stable_free,
-            loads_issued,
-            agu_uses,
-            vp_used,
-            vp_wrong,
-            mrn_forwarded,
-            mrn_wrong,
-            loads_eliminated,
-            elim_violations,
-            rename_stalls_sld_read,
-            rename_stalls_sld_write,
-        ] {
-            e.u64(*v);
-        }
-        for &c in sld_updates_per_cycle.bucket_counts() {
-            e.u64(c);
-        }
-        let sum = sld_updates_per_cycle.sum_raw();
-        e.u64(sum as u64);
-        e.u64((sum >> 64) as u64);
-        for v in [
-            cv_pins,
-            arm_guard_blocked,
-            elar_resolved,
-            rfp_address_hits,
-            ordering_violations,
-            golden_mismatches,
-            l1d_accesses,
-            l2_accesses,
-            dram_accesses,
-            snoops_delivered,
-        ] {
-            e.u64(*v);
-        }
-        let mut pcs: Vec<(u64, (u64, u64))> = per_pc_loads.iter().map(|(&k, &v)| (k, v)).collect();
-        pcs.sort_unstable();
-        e.seq_len(pcs.len());
-        for (pc, (elim, total)) in pcs {
-            e.u64(pc);
-            e.u64(elim);
-            e.u64(total);
-        }
-        let mut wrong: Vec<(u64, u64)> = vp_wrong_pcs.iter().map(|(&k, &v)| (k, v)).collect();
-        wrong.sort_unstable();
-        e.seq_len(wrong.len());
-        for (pc, n) in wrong {
-            e.u64(pc);
-            e.u64(n);
-        }
-        for v in [
-            decoded,
-            renamed,
-            alu_execs,
-            dtlb_accesses,
-            sld_reads,
-            sld_writes,
-            amt_probes,
-            eves_lookups,
-        ] {
-            e.u64(*v);
-        }
-    }
-
-    /// Rebuilds statistics from a checkpoint stream written by
-    /// [`CoreStats::encode`].
-    // Field-by-field assignment (not a struct literal) so the fallible
-    // histogram decode can sit mid-stream at its encoded position.
-    #[allow(clippy::field_reassign_with_default)]
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut s = CoreStats::default();
-        s.cycles = d.u64()?;
-        s.retired = d.u64()?;
-        s.retired_loads = d.u64()?;
-        s.retired_stores = d.u64()?;
-        s.retired_branches = d.u64()?;
-        s.fetched = d.u64()?;
-        s.fetched_wrong_path = d.u64()?;
-        s.branch_mispredicts = d.u64()?;
-        s.rob_allocs = d.u64()?;
-        s.rs_allocs = d.u64()?;
-        s.lb_allocs = d.u64()?;
-        s.sb_allocs = d.u64()?;
-        s.load_utilized_cycles = d.u64()?;
-        s.load_cycles_stable_blocking = d.u64()?;
-        s.load_cycles_stable_free = d.u64()?;
-        s.loads_issued = d.u64()?;
-        s.agu_uses = d.u64()?;
-        s.vp_used = d.u64()?;
-        s.vp_wrong = d.u64()?;
-        s.mrn_forwarded = d.u64()?;
-        s.mrn_wrong = d.u64()?;
-        s.loads_eliminated = d.u64()?;
-        s.elim_violations = d.u64()?;
-        s.rename_stalls_sld_read = d.u64()?;
-        s.rename_stalls_sld_write = d.u64()?;
-        let bounds = s.sld_updates_per_cycle.bounds().to_vec();
-        let mut counts = Vec::with_capacity(bounds.len() + 1);
-        for _ in 0..=bounds.len() {
-            counts.push(d.u64()?);
-        }
-        let sum = u128::from(d.u64()?) | (u128::from(d.u64()?) << 64);
-        s.sld_updates_per_cycle = Histogram::from_parts(bounds, counts, sum);
-        s.cv_pins = d.u64()?;
-        s.arm_guard_blocked = d.u64()?;
-        s.elar_resolved = d.u64()?;
-        s.rfp_address_hits = d.u64()?;
-        s.ordering_violations = d.u64()?;
-        s.golden_mismatches = d.u64()?;
-        s.l1d_accesses = d.u64()?;
-        s.l2_accesses = d.u64()?;
-        s.dram_accesses = d.u64()?;
-        s.snoops_delivered = d.u64()?;
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            let pc = d.u64()?;
-            let elim = d.u64()?;
-            let total = d.u64()?;
-            s.per_pc_loads.insert(pc, (elim, total));
-        }
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            let pc = d.u64()?;
-            let count = d.u64()?;
-            s.vp_wrong_pcs.insert(pc, count);
-        }
-        s.decoded = d.u64()?;
-        s.renamed = d.u64()?;
-        s.alu_execs = d.u64()?;
-        s.dtlb_accesses = d.u64()?;
-        s.sld_reads = d.u64()?;
-        s.sld_writes = d.u64()?;
-        s.amt_probes = d.u64()?;
-        s.eves_lookups = d.u64()?;
-        Ok(s)
-    }
-
     /// Instructions per cycle over the run.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

@@ -25,7 +25,6 @@
 //! write the slot), and every recorder call site is behind an
 //! `Option<TraceRecorder>` that is `None` by default.
 
-use sim_isa::{CodecError, Dec, Enc};
 use sim_mem::TraceDigest;
 use sim_stats::Histogram;
 
@@ -202,81 +201,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Appends the recorder's full mid-run state to a checkpoint stream.
-    /// The digest is stored as its raw FNV state ([`TraceDigest::finish`]
-    /// is a read, not a terminator), so a restored recorder continues the
-    /// hash stream bit-exactly.
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let TraceRecorder {
-            keep_full,
-            records,
-            digest,
-            retire_latency,
-            stall_cycles,
-            pending,
-            uops,
-        } = self;
-        e.bool(*keep_full);
-        e.seq_len(records.len());
-        for r in records {
-            encode_uop_trace(r, e);
-        }
-        e.u64(digest.finish());
-        for &c in retire_latency.bucket_counts() {
-            e.u64(c);
-        }
-        let sum = retire_latency.sum_raw();
-        e.u64(sum as u64);
-        e.u64((sum >> 64) as u64);
-        for &c in stall_cycles {
-            e.u64(c);
-        }
-        e.opt(pending, |e, (cls, n)| {
-            e.u8(*cls as u8);
-            e.u64(*n);
-        });
-        e.u64(*uops);
-    }
-
-    /// Rebuilds a recorder from a checkpoint stream written by
-    /// [`TraceRecorder::encode`].
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let keep_full = d.bool()?;
-        let n = d.seq_len()?;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            records.push(decode_uop_trace(d)?);
-        }
-        let digest = TraceDigest::from_state(d.u64()?);
-        let mut counts = Vec::with_capacity(RETIRE_LATENCY_BOUNDS.len() + 1);
-        for _ in 0..=RETIRE_LATENCY_BOUNDS.len() {
-            counts.push(d.u64()?);
-        }
-        let sum = u128::from(d.u64()?) | (u128::from(d.u64()?) << 64);
-        let retire_latency = Histogram::from_parts(RETIRE_LATENCY_BOUNDS.to_vec(), counts, sum);
-        let mut stall_cycles = [0u64; StallClass::COUNT];
-        for c in &mut stall_cycles {
-            *c = d.u64()?;
-        }
-        let pending = d.opt(|d| {
-            let at = d.pos();
-            let byte = d.u8()?;
-            let cls = stall_class_from(byte).ok_or(CodecError::BadTag { at, byte })?;
-            let count = d.u64()?;
-            Ok((cls, count))
-        })?;
-        let uops = d.u64()?;
-        Ok(TraceRecorder {
-            keep_full,
-            records,
-            digest,
-            retire_latency,
-            stall_cycles,
-            pending,
-            uops,
-        })
-    }
-
     /// Seals the trace into a summary. Called by
     /// [`crate::Core::take_trace`] after the run.
     pub(crate) fn into_summary(mut self) -> TraceSummary {
@@ -301,68 +225,6 @@ impl Default for TraceRecorder {
     fn default() -> Self {
         Self::new()
     }
-}
-
-fn encode_uop_trace(r: &UopTrace, e: &mut Enc) {
-    let UopTrace {
-        thread,
-        seq,
-        pc,
-        flags,
-        fetched_at,
-        renamed_at,
-        issued_at,
-        issue_order,
-        completed_at,
-        retired_at,
-        addr,
-        result,
-    } = r;
-    e.u8(*thread);
-    for v in [
-        seq,
-        pc,
-        flags,
-        fetched_at,
-        renamed_at,
-        issued_at,
-        issue_order,
-        completed_at,
-        retired_at,
-        addr,
-        result,
-    ] {
-        e.u64(*v);
-    }
-}
-
-fn decode_uop_trace(d: &mut Dec<'_>) -> Result<UopTrace, CodecError> {
-    Ok(UopTrace {
-        thread: d.u8()?,
-        seq: d.u64()?,
-        pc: d.u64()?,
-        flags: d.u64()?,
-        fetched_at: d.u64()?,
-        renamed_at: d.u64()?,
-        issued_at: d.u64()?,
-        issue_order: d.u64()?,
-        completed_at: d.u64()?,
-        retired_at: d.u64()?,
-        addr: d.u64()?,
-        result: d.u64()?,
-    })
-}
-
-fn stall_class_from(tag: u8) -> Option<StallClass> {
-    Some(match tag {
-        0 => StallClass::Active,
-        1 => StallClass::RenameBlocked,
-        2 => StallClass::Memory,
-        3 => StallClass::Execution,
-        4 => StallClass::FetchRedirect,
-        5 => StallClass::FrontEnd,
-        _ => return None,
-    })
 }
 
 /// The sealed result of a traced run.

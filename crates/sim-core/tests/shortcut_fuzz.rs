@@ -132,88 +132,6 @@ fn shortcuts_are_trace_invisible_on_random_programs_and_configs() {
     }
 }
 
-/// Checkpoint/restore at seeded random mid-run points: each case draws a
-/// random (workload, config) cell — every third case an SMT2 pair — plus a
-/// random slice interval and a random boundary; the run checkpoints there,
-/// restores from nothing but the bytes (into scratch recycled from the
-/// previous case's differently-shaped run), and finishes. Its full trace —
-/// every retired µop's timestamps and issue order, plus the per-cycle
-/// stall stream — must be bit-identical to the uninterrupted run's, with
-/// the first diverging µop record named on failure. This is the fuzzed
-/// counterpart of the committed checkpoint matrix in `trace_oracle.rs`:
-/// random programs, random machine shapes, random snapshot points.
-#[test]
-fn checkpoint_restore_is_trace_invisible_at_random_points() {
-    let mut rng = SmallRng::seed_from_u64(0xC4EC_4012);
-    let mut scratch = sim_core::SimScratch::new();
-    for case in 0..CASES {
-        let spec_a = random_workload(&mut rng);
-        let spec_b = random_workload(&mut rng);
-        let cfg = random_config(&mut rng);
-        let (pa, pb) = (spec_a.build(), spec_b.build());
-        let smt2 = case % 3 == 2;
-        let programs: Vec<&sim_workload::Program> = if smt2 { vec![&pa, &pb] } else { vec![&pa] };
-        let n = if smt2 { N / 2 } else { N };
-
-        let plain = traced_run_multi(&programs, cfg.clone(), n);
-
-        // The random interval IS the random snapshot point: the first
-        // boundary always lands mid-run (the shortest cases still exceed a
-        // few hundred loop iterations), and a second restore later in the
-        // run — when the case is long enough to reach it — locks repeated
-        // round-trips. Event shortcuts make loop-iteration counts config-
-        // dependent, so only the first boundary is asserted.
-        let interval = rng.gen_range(64u64..512);
-        let again_at = rng.gen_range(1u64..6);
-        let mut core = Core::new_multi(programs.clone(), cfg.clone());
-        core.attach_tracer(TraceRecorder::with_full_trace(true));
-        let mut boundary = 0u64;
-        let mut restored = false;
-        while core.run_slice(n, interval) {
-            if boundary == 0 || boundary == again_at {
-                let bytes = core.checkpoint();
-                let dest = std::mem::take(&mut scratch);
-                core = Core::restore(programs.clone(), cfg.clone(), dest, &bytes)
-                    .unwrap_or_else(|e| panic!("case {case}: restore failed: {e}"));
-                restored = true;
-            }
-            boundary += 1;
-        }
-        assert!(
-            restored,
-            "case {case}: run finished before its first boundary (interval {interval})"
-        );
-        let r = core.seal_result();
-        assert!(!r.hit_cycle_guard, "case {case}: cycle guard");
-        assert_eq!(r.stats.golden_mismatches, 0, "case {case}: golden check");
-        let fast = core.take_trace().expect("tracer rides in the checkpoint");
-        scratch = core.into_scratch();
-
-        let ctx = format!(
-            "ckpt case {case}: workloads=({}{}) interval={interval} again_at={again_at} \
-             constable={} eves={} elar={} rfp={} wp={} snoop={} load_ports={} issue_w={} \
-             retire_w={} rob={}",
-            spec_a.name,
-            if smt2 {
-                format!(", {}", spec_b.name)
-            } else {
-                String::new()
-            },
-            cfg.constable.is_some(),
-            cfg.eves,
-            cfg.elar,
-            cfg.rfp,
-            cfg.wrong_path_fetch,
-            cfg.snoop_rate_per_10k,
-            cfg.load_ports,
-            cfg.issue_width,
-            cfg.retire_width,
-            cfg.rob_size,
-        );
-        assert_traces_identical(&fast, &plain, &ctx);
-    }
-}
-
 /// The SMT2 variant: seeded random program *pairs* (suite × suite,
 /// suite × memory-stress, stress × stress) under random configurations.
 /// A shortcut bug here would change which thread wins a frontend slot —

@@ -362,165 +362,6 @@ fn shortcuts_disabled_match_goldens() {
     }
 }
 
-/// Slice interval (core loop iterations) for the checkpoint re-derivation
-/// passes. Small enough that every matrix row — including the n=50
-/// zero-SLD guard corner, which spins until the cycle guard — crosses at
-/// least one boundary mid-run.
-const CKPT_SLICE: u64 = 1_024;
-
-/// Checkpoint/restore: every committed golden row re-derived through a
-/// mid-run [`Core::checkpoint`] + [`Core::restore`] — the tracer rides
-/// inside the checkpoint — must reproduce the committed line bit-for-bit.
-/// No re-bless: a checkpoint that shifts a single µop timestamp anywhere
-/// in the matrix fails on the exact row that moved. Restore destinations
-/// alternate between fresh scratch and scratch recycled from the previous
-/// row's (differently-shaped) run, locking both rebuild paths.
-#[test]
-fn checkpoint_restore_matches_goldens() {
-    let committed = read_goldens();
-    let lookup = |name: &str| {
-        committed
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("{name} missing from goldens; regenerate with: {BLESS_CMD}"))
-            .1
-            .clone()
-    };
-    let mut scratch = sim_core::SimScratch::new();
-    for (i, row) in matrix().iter().enumerate() {
-        let programs: Vec<Program> = row.specs.iter().map(WorkloadSpec::build).collect();
-        let mut core = Core::new_multi(programs.iter().collect(), row.cfg.clone());
-        core.attach_tracer(TraceRecorder::new());
-        assert!(
-            core.run_slice(row.n, CKPT_SLICE),
-            "{}: run too short to checkpoint mid-flight",
-            row.name
-        );
-        let bytes = core.checkpoint();
-        let dest = if i % 2 == 0 {
-            sim_core::SimScratch::new()
-        } else {
-            std::mem::take(&mut scratch)
-        };
-        let mut core = Core::restore(programs.iter().collect(), row.cfg.clone(), dest, &bytes)
-            .unwrap_or_else(|e| panic!("{}: restore failed: {e}", row.name));
-        while core.run_slice(row.n, CKPT_SLICE) {}
-        let result = core.seal_result();
-        let trace = core.take_trace().expect("tracer survives the checkpoint");
-        scratch = core.into_scratch();
-        assert_eq!(
-            result.hit_cycle_guard,
-            row.name.starts_with("zero-sld-read"),
-            "{}: unexpected cycle-guard state after restore",
-            row.name
-        );
-        assert_eq!(
-            golden_row(&row.name, &result, &trace),
-            lookup(&row.name),
-            "{}: a run assembled from checkpoint + restore diverged from the committed golden",
-            row.name
-        );
-    }
-}
-
-const CHILD_ENV_IN: &str = "SIM_CKPT_CHILD_IN";
-const CHILD_ENV_OUT: &str = "SIM_CKPT_CHILD_OUT";
-const CHILD_ENV_ROW: &str = "SIM_CKPT_CHILD_ROW";
-
-/// Child half of the fresh-process re-derivation below: inert in a normal
-/// test run; under the `SIM_CKPT_CHILD_*` environment it restores the
-/// given row's checkpoint with nothing but the bytes — a brand-new
-/// process, fresh scratch, programs rebuilt from the spec — finishes the
-/// run, and writes the resulting golden row out for the parent to compare.
-#[test]
-fn ckpt_child_resume() {
-    let Some(input) = std::env::var_os(CHILD_ENV_IN) else {
-        return;
-    };
-    let row_name = std::env::var(CHILD_ENV_ROW).expect("child row name");
-    let out_path = std::env::var_os(CHILD_ENV_OUT).expect("child out path");
-    let rows = matrix();
-    let row = rows
-        .iter()
-        .find(|r| r.name == row_name)
-        .unwrap_or_else(|| panic!("{row_name} missing from the matrix"));
-    let bytes = std::fs::read(&input).expect("read checkpoint bytes");
-    let programs: Vec<Program> = row.specs.iter().map(WorkloadSpec::build).collect();
-    let mut core = Core::restore(
-        programs.iter().collect(),
-        row.cfg.clone(),
-        sim_core::SimScratch::new(),
-        &bytes,
-    )
-    .expect("restore in a fresh process");
-    while core.run_slice(row.n, CKPT_SLICE) {}
-    let result = core.seal_result();
-    let trace = core.take_trace().expect("tracer rides in the checkpoint");
-    std::fs::write(out_path, golden_row(&row.name, &result, &trace)).expect("write child result");
-}
-
-/// Fresh-process restore: a checkpoint written by this process and resumed
-/// by a *separate process* (the crash-recovery shape — the writer died;
-/// nothing survives but the bytes) must land on the committed golden row.
-/// One representative row per matrix family keeps the child spawns cheap.
-#[test]
-fn fresh_process_restore_matches_goldens() {
-    if std::env::var_os(CHILD_ENV_IN).is_some() {
-        return; // we *are* a child; only `ckpt_child_resume` acts
-    }
-    let committed = read_goldens();
-    let lookup = |name: &str| {
-        committed
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("{name} missing from goldens; regenerate with: {BLESS_CMD}"))
-            .1
-            .clone()
-    };
-    let rows = matrix();
-    let tmp = std::env::temp_dir();
-    for (k, prefix) in ["baseline/", "constable/", "smt2/", "memstress/"]
-        .iter()
-        .enumerate()
-    {
-        let row = rows
-            .iter()
-            .find(|r| r.name.starts_with(prefix))
-            .unwrap_or_else(|| panic!("no {prefix} row in the matrix"));
-        let programs: Vec<Program> = row.specs.iter().map(WorkloadSpec::build).collect();
-        let mut core = Core::new_multi(programs.iter().collect(), row.cfg.clone());
-        core.attach_tracer(TraceRecorder::new());
-        assert!(
-            core.run_slice(row.n, CKPT_SLICE),
-            "{}: run too short to checkpoint mid-flight",
-            row.name
-        );
-        let in_path = tmp.join(format!("ckpt-child-in-{}-{k}", std::process::id()));
-        let out_path = tmp.join(format!("ckpt-child-out-{}-{k}", std::process::id()));
-        std::fs::write(&in_path, core.checkpoint()).expect("write checkpoint bytes");
-        drop(core); // the writer "dies"; only the bytes survive
-
-        let status = std::process::Command::new(std::env::current_exe().expect("test exe"))
-            .args(["ckpt_child_resume", "--exact", "--quiet"])
-            .env(CHILD_ENV_IN, &in_path)
-            .env(CHILD_ENV_OUT, &out_path)
-            .env(CHILD_ENV_ROW, &row.name)
-            .status()
-            .expect("spawn resume child");
-        assert!(status.success(), "{}: resume child failed", row.name);
-        let line = std::fs::read_to_string(&out_path)
-            .unwrap_or_else(|e| panic!("{}: child wrote no result: {e}", row.name));
-        assert_eq!(
-            line,
-            lookup(&row.name),
-            "{}: fresh-process restore diverged from the committed golden",
-            row.name
-        );
-        let _ = std::fs::remove_file(&in_path);
-        let _ = std::fs::remove_file(&out_path);
-    }
-}
-
 /// `SimScratch` recycling: back-to-back runs reusing one scratch must
 /// produce trace digests identical to fresh-scratch runs (and therefore to
 /// the committed goldens) — locks the recycle paths of the µop slab, event

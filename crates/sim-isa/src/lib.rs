@@ -20,11 +20,9 @@
 //! assert_eq!(stack_slot.addr_mode(), AddrMode::StackRelative);
 //! ```
 
-mod codec;
 mod inst;
 mod reg;
 
-pub use codec::{CodecError, Dec, Enc};
 pub use inst::{
     AluOp, BranchKind, CondCode, DynInst, InstClass, MemAccess, MemRef, OpKind, StaticInst,
 };

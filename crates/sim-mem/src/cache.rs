@@ -10,7 +10,6 @@
 //! golden-trace test locks the exact per-access outcome sequence against
 //! the original array-of-structs implementation.
 
-use sim_isa::{CodecError, Dec, Enc};
 use sim_stats::Counter;
 
 /// Cache line size in bytes (64B, as in the paper's baseline).
@@ -436,100 +435,6 @@ impl Cache {
                 self.cold[i].meta += 1;
             }
         }
-    }
-
-    /// Encodes tag/replacement/flag state for a checkpoint. Geometry
-    /// (`name`, sets, ways, policy) is pinned by the caller's config and
-    /// never serialized; the MRU memo is a pure accelerator (revalidated
-    /// against `tags` on every use) and is likewise omitted, so
-    /// encode→decode→encode is byte-stable.
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let Cache {
-            name: _,
-            sets: _,
-            ways: _,
-            policy: _,
-            tags,
-            cold,
-            dirty,
-            prefetched,
-            lru_clock,
-            mru_line: _,
-            mru_idx: _,
-            stats,
-        } = self;
-        for &t in tags {
-            e.u64(t);
-        }
-        for c in cold {
-            e.u64(c.meta);
-            e.u64(c.ready_at);
-        }
-        for &w in &dirty.words {
-            e.u64(w);
-        }
-        for &w in &prefetched.words {
-            e.u64(w);
-        }
-        e.u64(*lru_clock);
-        let CacheStats {
-            accesses,
-            hits,
-            misses,
-            evictions,
-            writebacks,
-            prefetch_fills,
-            prefetch_useful,
-        } = stats;
-        for c in [
-            accesses,
-            hits,
-            misses,
-            evictions,
-            writebacks,
-            prefetch_fills,
-            prefetch_useful,
-        ] {
-            e.u64(c.get());
-        }
-    }
-
-    /// Decodes state written by [`Cache::encode`] into a cache built with
-    /// the same constructor arguments.
-    pub(crate) fn decode(
-        name: &'static str,
-        size_bytes: u64,
-        ways: usize,
-        policy: Replacement,
-        d: &mut Dec<'_>,
-    ) -> Result<Self, CodecError> {
-        let mut c = Cache::new(name, size_bytes, ways, policy);
-        for t in c.tags.iter_mut() {
-            *t = d.u64()?;
-        }
-        for cold in c.cold.iter_mut() {
-            *cold = Cold {
-                meta: d.u64()?,
-                ready_at: d.u64()?,
-            };
-        }
-        for w in c.dirty.words.iter_mut() {
-            *w = d.u64()?;
-        }
-        for w in c.prefetched.words.iter_mut() {
-            *w = d.u64()?;
-        }
-        c.lru_clock = d.u64()?;
-        c.stats = CacheStats {
-            accesses: Counter::from_value(d.u64()?),
-            hits: Counter::from_value(d.u64()?),
-            misses: Counter::from_value(d.u64()?),
-            evictions: Counter::from_value(d.u64()?),
-            writebacks: Counter::from_value(d.u64()?),
-            prefetch_fills: Counter::from_value(d.u64()?),
-            prefetch_useful: Counter::from_value(d.u64()?),
-        };
-        Ok(c)
     }
 }
 

@@ -11,7 +11,6 @@
 //! calibrated [`SnoopInjector`] used by single-core experiment runs (the
 //! paper's traces are per-core; cross-core traffic arrives as snoops).
 
-use sim_isa::{CodecError, Dec, Enc};
 use std::collections::HashMap;
 
 /// A snoop delivered to a core.
@@ -117,39 +116,6 @@ impl Directory {
             .get(&line)
             .is_some_and(|e| e.pinned & (1 << core) != 0)
     }
-
-    /// Encodes the sharer map for a checkpoint. Entries are written sorted
-    /// by line address so the byte stream is canonical regardless of hash
-    /// iteration order; `num_cores` is pinned by the caller's config.
-    pub fn encode(&self, e: &mut Enc) {
-        let Directory {
-            entries,
-            num_cores: _,
-        } = self;
-        let mut lines: Vec<(&u64, &DirEntry)> = entries.iter().collect();
-        lines.sort_unstable_by_key(|(line, _)| **line);
-        e.seq_len(lines.len());
-        for (line, entry) in lines {
-            let DirEntry { cv, pinned } = entry;
-            e.u64(*line);
-            e.u32(*cv);
-            e.u32(*pinned);
-        }
-    }
-
-    /// Decodes a map written by [`Directory::encode`] for `num_cores`.
-    pub fn decode(num_cores: usize, d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut dir = Directory::new(num_cores);
-        let n = d.seq_len()?;
-        dir.entries.reserve(n);
-        for _ in 0..n {
-            let line = d.u64()?;
-            let cv = d.u32()?;
-            let pinned = d.u32()?;
-            dir.entries.insert(line, DirEntry { cv, pinned });
-        }
-        Ok(dir)
-    }
 }
 
 /// Synthetic cross-core snoop traffic for single-core runs.
@@ -195,52 +161,6 @@ impl SnoopInjector {
             self.recent[self.cursor] = line;
             self.cursor = (self.cursor + 1) % 64;
         }
-    }
-
-    /// Encodes the full injector state — including the xorshift64* PRNG
-    /// word — so a restored run draws the exact same snoop sequence.
-    pub fn encode(&self, e: &mut Enc) {
-        let SnoopInjector {
-            rate_per_10k,
-            recent,
-            cursor,
-            state,
-        } = self;
-        e.u32(*rate_per_10k);
-        e.seq_len(recent.len());
-        for &line in recent {
-            e.u64(line);
-        }
-        e.usize(*cursor);
-        e.u64(*state);
-    }
-
-    /// Decodes an injector written by [`SnoopInjector::encode`].
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let rate_per_10k = d.u32()?;
-        let at = d.pos();
-        let n = d.seq_len()?;
-        if n > 64 {
-            return Err(CodecError::BadLength { at, len: n as u64 });
-        }
-        let mut recent = Vec::with_capacity(64);
-        for _ in 0..n {
-            recent.push(d.u64()?);
-        }
-        let at = d.pos();
-        let cursor = d.usize()?;
-        if cursor >= 64 {
-            return Err(CodecError::BadLength {
-                at,
-                len: cursor as u64,
-            });
-        }
-        Ok(SnoopInjector {
-            rate_per_10k,
-            recent,
-            cursor,
-            state: d.u64()?,
-        })
     }
 
     /// Called once per retired instruction; occasionally returns a snoop line.
@@ -322,47 +242,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(inj.tick(), Some(0xabc));
         }
-    }
-
-    #[test]
-    fn injector_checkpoint_preserves_prng_sequence() {
-        let mut inj = SnoopInjector::new(500, 0xFEED);
-        for l in 0..70u64 {
-            inj.observe(l);
-        }
-        for _ in 0..1234 {
-            inj.tick();
-        }
-        let mut e = Enc::new();
-        inj.encode(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let mut restored = SnoopInjector::decode(&mut d).expect("decode");
-        d.finish().expect("full consumption");
-        for i in 0..5000 {
-            assert_eq!(inj.tick(), restored.tick(), "snoop draw {i} diverged");
-        }
-    }
-
-    #[test]
-    fn directory_checkpoint_is_canonical_and_exact() {
-        let mut dir = Directory::new(4);
-        dir.on_read(0, 10);
-        dir.on_read(1, 10);
-        dir.pin(2, 99);
-        dir.on_write(3, 7);
-        let mut e = Enc::new();
-        dir.encode(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let restored = Directory::decode(4, &mut d).expect("decode");
-        d.finish().expect("full consumption");
-        assert!(restored.cv_set(0, 10) && restored.cv_set(1, 10));
-        assert!(restored.pinned(2, 99));
-        assert!(restored.cv_set(3, 7));
-        let mut e2 = Enc::new();
-        restored.encode(&mut e2);
-        assert_eq!(e2.into_bytes(), bytes, "sorted encoding is byte-stable");
     }
 
     #[test]

@@ -40,14 +40,6 @@ impl TraceDigest {
         TraceDigest { state: FNV_OFFSET }
     }
 
-    /// Reconstructs a digest mid-stream from a state previously read with
-    /// [`TraceDigest::finish`] (checkpoint restore). `finish` is a read,
-    /// not a terminator, so `from_state(d.finish())` continues `d` exactly.
-    #[must_use]
-    pub fn from_state(state: u64) -> Self {
-        TraceDigest { state }
-    }
-
     /// Folds one word into the digest.
     #[inline]
     pub fn update(&mut self, v: u64) {

@@ -1,7 +1,6 @@
 //! DDR4-like main-memory model (Table 2: 4 channels, 2 ranks/channel,
 //! 8 banks/rank, 2 KB row buffer, tCAS = tRCD = tRP = 22 ns at 3.2 GHz).
 
-use sim_isa::{CodecError, Dec, Enc};
 use sim_stats::Counter;
 
 /// DRAM timing/geometry parameters, in core cycles.
@@ -195,52 +194,6 @@ impl Dram {
         bank.open_row = Some(row);
         bank.busy_until = start + service.min(cfg.t_cas) + cfg.t_bus;
         queue_wait + service + cfg.t_bus
-    }
-
-    /// Encodes bank state and stats for a checkpoint. The config and the
-    /// address maps derived from it are pinned by the caller and rebuilt
-    /// on decode.
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let Dram {
-            cfg: _,
-            banks,
-            ch_map: _,
-            row_map: _,
-            bank_map: _,
-            per_channel: _,
-            stats,
-        } = self;
-        for b in banks {
-            e.opt(&b.open_row, |e, r| e.u64(*r));
-            e.u64(b.busy_until);
-        }
-        let DramStats {
-            accesses,
-            row_hits,
-            row_misses,
-            row_conflicts,
-        } = stats;
-        for c in [accesses, row_hits, row_misses, row_conflicts] {
-            e.u64(c.get());
-        }
-    }
-
-    /// Decodes state written by [`Dram::encode`] under the same config.
-    pub(crate) fn decode(cfg: DramConfig, d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut m = Dram::new(cfg);
-        for b in m.banks.iter_mut() {
-            *b = Bank {
-                open_row: d.opt(|d| d.u64())?,
-                busy_until: d.u64()?,
-            };
-        }
-        m.stats = DramStats {
-            accesses: Counter::from_value(d.u64()?),
-            row_hits: Counter::from_value(d.u64()?),
-            row_misses: Counter::from_value(d.u64()?),
-            row_conflicts: Counter::from_value(d.u64()?),
-        };
-        Ok(m)
     }
 }
 

@@ -10,7 +10,6 @@
 use crate::cache::{line_addr, Cache, FillPlan, Replacement};
 use crate::dram::{Dram, DramConfig};
 use crate::prefetch::{PrefetchReq, SppLite, StreamPrefetcher, StridePrefetcher};
-use sim_isa::{CodecError, Dec, Enc};
 use sim_stats::Counter;
 
 /// Which level serviced an access.
@@ -406,90 +405,6 @@ impl MemoryHierarchy {
     pub fn l1_probe(&self, line: u64) -> bool {
         self.l1.probe(line)
     }
-
-    /// Encodes the full hierarchy state for a checkpoint: caches, DRAM
-    /// banks, prefetcher tables, and stats. `cfg` is pinned by the caller
-    /// (the checkpoint header carries its stable encoding) and never
-    /// serialized. `pf_scratch` is drained before every access returns, so
-    /// it is empty at any checkpointable boundary — asserted here.
-    pub fn encode(&self, e: &mut Enc) {
-        let MemoryHierarchy {
-            cfg: _,
-            l1,
-            l2,
-            llc,
-            dram,
-            stride,
-            stream,
-            spp,
-            pf_scratch,
-            stats,
-        } = self;
-        assert!(
-            pf_scratch.is_empty(),
-            "prefetch scratch must be drained at a checkpoint boundary"
-        );
-        l1.encode(e);
-        l2.encode(e);
-        llc.encode(e);
-        dram.encode(e);
-        stride.encode(e);
-        stream.encode(e);
-        spp.encode(e);
-        let HierarchyStats {
-            loads,
-            stores,
-            snoops,
-            l1_hits,
-            l2_hits,
-            llc_hits,
-            dram_accesses,
-        } = stats;
-        for c in [
-            loads,
-            stores,
-            snoops,
-            l1_hits,
-            l2_hits,
-            llc_hits,
-            dram_accesses,
-        ] {
-            e.u64(c.get());
-        }
-    }
-
-    /// Decodes a hierarchy written by [`MemoryHierarchy::encode`] under the
-    /// same `cfg`.
-    pub fn decode(cfg: MemConfig, d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let l1 = Cache::decode("L1-D", cfg.l1_bytes, cfg.l1_ways, Replacement::Lru, d)?;
-        let l2 = Cache::decode("L2", cfg.l2_bytes, cfg.l2_ways, Replacement::Lru, d)?;
-        let llc = Cache::decode("LLC", cfg.llc_bytes, cfg.llc_ways, Replacement::Srrip, d)?;
-        let dram = Dram::decode(cfg.dram, d)?;
-        let stride = StridePrefetcher::decode(d)?;
-        let stream = StreamPrefetcher::decode(d)?;
-        let spp = SppLite::decode(d)?;
-        let stats = HierarchyStats {
-            loads: Counter::from_value(d.u64()?),
-            stores: Counter::from_value(d.u64()?),
-            snoops: Counter::from_value(d.u64()?),
-            l1_hits: Counter::from_value(d.u64()?),
-            l2_hits: Counter::from_value(d.u64()?),
-            llc_hits: Counter::from_value(d.u64()?),
-            dram_accesses: Counter::from_value(d.u64()?),
-        };
-        Ok(MemoryHierarchy {
-            cfg,
-            l1,
-            l2,
-            llc,
-            dram,
-            stride,
-            stream,
-            spp,
-            pf_scratch: Vec::new(),
-            stats,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -623,96 +538,6 @@ mod tests {
         assert_eq!(sink.spill_lines()[0], EvictionSink::INLINE as u64);
         sink.clear();
         assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn hierarchy_checkpoint_resumes_bit_exactly() {
-        // Run a mixed access stream, checkpoint halfway, and drive the
-        // restored copy and the original through the same tail: every
-        // latency/level outcome and every stat must match, and re-encoding
-        // the restored hierarchy must reproduce the checkpoint bytes.
-        let mut cfg = small_cfg();
-        cfg.l1_prefetch = true;
-        cfg.l2_prefetch = true;
-        let mut m = MemoryHierarchy::new(cfg);
-        let mut x = 0x5EED_1234_u64;
-        let step = |x: &mut u64| {
-            *x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            *x
-        };
-        for i in 0..3000u64 {
-            let r = step(&mut x);
-            let addr = (r >> 8) % (1 << 22);
-            let pc = 0x400 + (r % 64) * 4;
-            if r % 5 == 0 {
-                m.store_commit(addr, i * 7, &mut EvictionSink::default());
-            } else {
-                m.load(pc, addr, i * 7, &mut EvictionSink::default());
-            }
-            if r % 97 == 0 {
-                m.snoop_invalidate(line_addr(addr));
-            }
-        }
-        let mut e = sim_isa::Enc::new();
-        m.encode(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = sim_isa::Dec::new(&bytes);
-        let mut restored = MemoryHierarchy::decode(cfg, &mut d).expect("decode");
-        d.finish().expect("full consumption");
-
-        let mut e2 = sim_isa::Enc::new();
-        restored.encode(&mut e2);
-        assert_eq!(
-            e2.into_bytes(),
-            bytes,
-            "encode→decode→encode must be byte-stable"
-        );
-
-        let mut x2 = x;
-        for i in 3000..6000u64 {
-            let r = step(&mut x);
-            assert_eq!(r, step(&mut x2));
-            let addr = (r >> 8) % (1 << 22);
-            let pc = 0x400 + (r % 64) * 4;
-            let (a, b) = if r % 5 == 0 {
-                (
-                    m.store_commit(addr, i * 7, &mut EvictionSink::default()),
-                    restored.store_commit(addr, i * 7, &mut EvictionSink::default()),
-                )
-            } else {
-                (
-                    m.load(pc, addr, i * 7, &mut EvictionSink::default()),
-                    restored.load(pc, addr, i * 7, &mut EvictionSink::default()),
-                )
-            };
-            assert_eq!(a, b, "outcome diverged at post-restore access {i}");
-            if r % 97 == 0 {
-                m.snoop_invalidate(line_addr(addr));
-                restored.snoop_invalidate(line_addr(addr));
-            }
-        }
-        assert_eq!(m.stats().loads.get(), restored.stats().loads.get());
-        assert_eq!(
-            m.stats().dram_accesses.get(),
-            restored.stats().dram_accesses.get()
-        );
-        assert_eq!(
-            m.cache_stats().0.hits.get(),
-            restored.cache_stats().0.hits.get()
-        );
-    }
-
-    #[test]
-    fn hierarchy_decode_rejects_truncation() {
-        let m = MemoryHierarchy::new(small_cfg());
-        let mut e = sim_isa::Enc::new();
-        m.encode(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = sim_isa::Dec::new(&bytes[..bytes.len() - 1]);
-        assert!(
-            MemoryHierarchy::decode(small_cfg(), &mut d).is_err() || d.finish().is_err(),
-            "truncated checkpoint must not decode cleanly"
-        );
     }
 
     #[test]

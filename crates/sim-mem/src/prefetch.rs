@@ -2,7 +2,6 @@
 //! signature-path-style delta prefetcher (L2), per the baseline in Table 2.
 
 use crate::cache::line_addr;
-use sim_isa::{CodecError, Dec, Enc};
 
 /// A prefetch request produced by a prefetcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,48 +68,6 @@ impl StridePrefetcher {
                 confidence: 0,
             };
         }
-    }
-
-    /// Encodes the training table for a checkpoint. The geometry is
-    /// hard-wired by the hierarchy (not config-derived), so it travels in
-    /// the stream and decode reconstructs the prefetcher standalone.
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let StridePrefetcher { entries, degree } = self;
-        e.u32(*degree);
-        e.seq_len(entries.len());
-        for en in entries {
-            let StrideEntry {
-                tag,
-                last_addr,
-                stride,
-                confidence,
-            } = en;
-            e.u64(*tag);
-            e.u64(*last_addr);
-            e.i64(*stride);
-            e.u8(*confidence);
-        }
-    }
-
-    /// Decodes a table written by [`StridePrefetcher::encode`].
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let degree = d.u32()?;
-        let at = d.pos();
-        let n = d.seq_len()?;
-        // The PC index mask requires a power-of-two table.
-        if n == 0 || !n.is_power_of_two() {
-            return Err(CodecError::BadLength { at, len: n as u64 });
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(StrideEntry {
-                tag: d.u64()?,
-                last_addr: d.u64()?,
-                stride: d.i64()?,
-                confidence: d.u8()?,
-            });
-        }
-        Ok(StridePrefetcher { entries, degree })
     }
 }
 
@@ -183,49 +140,6 @@ impl StreamPrefetcher {
                 lru: clock,
             };
         }
-    }
-
-    /// Encodes the stream table for a checkpoint (see
-    /// [`StridePrefetcher::encode`] for why the geometry travels inline).
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let StreamPrefetcher { streams, depth } = self;
-        e.u32(*depth);
-        e.seq_len(streams.len());
-        for s in streams {
-            let StreamEntry {
-                page,
-                last_line,
-                dir,
-                confidence,
-                lru,
-            } = s;
-            e.u64(*page);
-            e.u64(*last_line);
-            e.i8(*dir);
-            e.u8(*confidence);
-            e.u64(*lru);
-        }
-    }
-
-    /// Decodes a table written by [`StreamPrefetcher::encode`].
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let depth = d.u32()?;
-        let at = d.pos();
-        let n = d.seq_len()?;
-        if n == 0 {
-            return Err(CodecError::BadLength { at, len: 0 });
-        }
-        let mut streams = Vec::with_capacity(n);
-        for _ in 0..n {
-            streams.push(StreamEntry {
-                page: d.u64()?,
-                last_line: d.u64()?,
-                dir: d.i8()?,
-                confidence: d.u8()?,
-                lru: d.u64()?,
-            });
-        }
-        Ok(StreamPrefetcher { streams, depth })
     }
 }
 
@@ -306,35 +220,6 @@ impl SppLite {
         } else {
             self.pages[slot].3 = clock;
         }
-    }
-
-    /// Encodes both tables for a checkpoint. Geometry is fixed by
-    /// [`SppLite::new`], so the entries travel without length prefixes.
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let SppLite { pattern, pages } = self;
-        for &(sig, delta, conf) in pattern {
-            e.u16(sig);
-            e.i8(delta);
-            e.u8(conf);
-        }
-        for &(page, sig, off, lru) in pages {
-            e.u64(page);
-            e.u16(sig);
-            e.u8(off);
-            e.u64(lru);
-        }
-    }
-
-    /// Decodes tables written by [`SppLite::encode`].
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut p = SppLite::new();
-        for pt in p.pattern.iter_mut() {
-            *pt = (d.u16()?, d.i8()?, d.u8()?);
-        }
-        for pg in p.pages.iter_mut() {
-            *pg = (d.u64()?, d.u16()?, d.u8()?, d.u64()?);
-        }
-        Ok(p)
     }
 }
 

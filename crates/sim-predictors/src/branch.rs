@@ -1,8 +1,6 @@
 //! TAGE conditional branch predictor with a return-address stack
 //! (Table 2: "TAGE/ITTAGE branch predictors", 20-cycle redirect penalty).
 
-use sim_isa::{CodecError, Dec, Enc};
-
 /// Number of tagged TAGE components.
 const NUM_TABLES: usize = 4;
 /// Geometric history lengths per component.
@@ -169,55 +167,6 @@ impl Tage {
         self.history = (self.history << 1) | u64::from(taken);
         self.folds_fresh = false;
     }
-
-    /// Encodes the predictor state for a checkpoint. The cached folds are
-    /// a pure memo of `history` and are not encoded; decode leaves them
-    /// stale so the first probe recomputes them.
-    pub fn encode(&self, e: &mut Enc) {
-        let Tage {
-            bimodal,
-            tables,
-            history,
-            lfsr,
-            folds_idx: _,
-            folds_tag: _,
-            folds_fresh: _,
-        } = self;
-        for &c in bimodal {
-            e.i8(c);
-        }
-        for table in tables {
-            for entry in table {
-                let TageEntry { tag, ctr, useful } = *entry;
-                e.u16(tag);
-                e.i8(ctr);
-                e.u8(useful);
-            }
-        }
-        e.u64(*history);
-        e.u32(*lfsr);
-    }
-
-    /// Decodes a predictor written by [`Tage::encode`].
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut t = Tage::new();
-        for c in t.bimodal.iter_mut() {
-            *c = d.i8()?;
-        }
-        for table in t.tables.iter_mut() {
-            for entry in table.iter_mut() {
-                *entry = TageEntry {
-                    tag: d.u16()?,
-                    ctr: d.i8()?,
-                    useful: d.u8()?,
-                };
-            }
-        }
-        t.history = d.u64()?;
-        t.lfsr = d.u32()?;
-        t.folds_fresh = false;
-        Ok(t)
-    }
 }
 
 impl Default for Tage {
@@ -251,24 +200,6 @@ impl ReturnStack {
     /// Pops the predicted return target.
     pub fn pop(&mut self) -> Option<u64> {
         self.stack.pop_back()
-    }
-
-    /// Encodes the stack, oldest entry first.
-    pub fn encode(&self, e: &mut Enc) {
-        e.seq_len(self.stack.len());
-        for &pc in &self.stack {
-            e.u64(pc);
-        }
-    }
-
-    /// Decodes a stack written by [`ReturnStack::encode`].
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let n = d.seq_len()?;
-        let mut stack = std::collections::VecDeque::with_capacity(n);
-        for _ in 0..n {
-            stack.push_back(d.u64()?);
-        }
-        Ok(ReturnStack { stack })
     }
 }
 

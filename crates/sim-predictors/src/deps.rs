@@ -7,8 +7,6 @@
 //! offending load and store PCs are placed in the same *store set*; future
 //! instances of the load wait for in-flight members of the set.
 
-use sim_isa::{CodecError, Dec, Enc};
-
 /// A store-set identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ssid(pub u16);
@@ -66,25 +64,6 @@ impl StoreSets {
     /// clears SSIT every ~1M cycles).
     pub fn clear(&mut self) {
         self.ssit.iter_mut().for_each(|e| *e = None);
-    }
-
-    /// Encodes the SSIT and the SSID allocator for a checkpoint.
-    pub fn encode(&self, e: &mut Enc) {
-        let StoreSets { ssit, next_ssid } = self;
-        for slot in ssit {
-            e.opt(slot, |e, s| e.u16(s.0));
-        }
-        e.u16(*next_ssid);
-    }
-
-    /// Decodes a predictor written by [`StoreSets::encode`].
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut s = StoreSets::new();
-        for slot in s.ssit.iter_mut() {
-            *slot = d.opt(|d| Ok(Ssid(d.u16()?)))?;
-        }
-        s.next_ssid = d.u16()?;
-        Ok(s)
     }
 }
 

@@ -4,7 +4,7 @@
 //! Constable — still *execute* it, so they do not relieve load resource
 //! dependence.
 
-use sim_isa::{ArchReg, CodecError, Dec, Enc, MemRef};
+use sim_isa::{ArchReg, MemRef};
 
 /// ELAR: tracks the stack pointer with a small adder in the decode stage so
 /// stack-relative loads (`[rsp+imm]` / `[rbp+imm]`) resolve their addresses
@@ -67,27 +67,6 @@ impl Elar {
             self.resolved += 1;
         }
         ok
-    }
-
-    /// Encodes the tracker for a checkpoint.
-    pub fn encode(&self, e: &mut Enc) {
-        let Elar {
-            rsp_valid,
-            rbp_valid,
-            resolved,
-        } = self;
-        e.bool(*rsp_valid);
-        e.bool(*rbp_valid);
-        e.u64(*resolved);
-    }
-
-    /// Decodes a tracker written by [`Elar::encode`].
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Elar {
-            rsp_valid: d.bool()?,
-            rbp_valid: d.bool()?,
-            resolved: d.u64()?,
-        })
     }
 }
 
@@ -171,45 +150,6 @@ impl Rfp {
             };
         }
         was_correct
-    }
-
-    /// Encodes the table and stats for a checkpoint.
-    pub fn encode(&self, e: &mut Enc) {
-        let Rfp {
-            entries,
-            issued,
-            correct,
-        } = self;
-        for entry in entries {
-            let RfpEntry {
-                tag,
-                last_addr,
-                stride,
-                conf,
-            } = *entry;
-            e.u32(tag);
-            e.u64(last_addr);
-            e.i64(stride);
-            e.u8(conf);
-        }
-        e.u64(*issued);
-        e.u64(*correct);
-    }
-
-    /// Decodes a predictor written by [`Rfp::encode`].
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut r = Rfp::new();
-        for entry in r.entries.iter_mut() {
-            *entry = RfpEntry {
-                tag: d.u32()?,
-                last_addr: d.u64()?,
-                stride: d.i64()?,
-                conf: d.u8()?,
-            };
-        }
-        r.issued = d.u64()?;
-        r.correct = d.u64()?;
-        Ok(r)
     }
 }
 

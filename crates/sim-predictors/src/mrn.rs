@@ -8,8 +8,6 @@
 //! the forwarded value — which is exactly the resource-dependence limitation
 //! Constable removes (§3).
 
-use sim_isa::{CodecError, Dec, Enc};
-
 /// Prediction: forward from the given store PC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MrnPrediction {
@@ -105,54 +103,6 @@ impl Mrn {
         (e.load_tag == (load_pc >> 2) as u32 && e.conf >= CONF_USE).then_some(MrnPrediction {
             store_pc: e.store_pc,
         })
-    }
-
-    /// Encodes the pair table densely and the 64K writer table sparsely
-    /// (only occupied slots — the all-zero entry means "empty").
-    pub fn encode(&self, e: &mut Enc) {
-        let Mrn { pairs, last_writer } = self;
-        for p in pairs {
-            let PairEntry {
-                load_tag,
-                store_pc,
-                conf,
-            } = *p;
-            e.u32(load_tag);
-            e.u64(store_pc);
-            e.u8(conf);
-        }
-        let occupied = last_writer.iter().filter(|&&(a, _)| a != 0).count();
-        e.seq_len(occupied);
-        for (i, &(addr, writer)) in last_writer.iter().enumerate() {
-            if addr != 0 {
-                e.u32(i as u32);
-                e.u64(addr);
-                e.u64(writer);
-            }
-        }
-    }
-
-    /// Decodes a predictor written by [`Mrn::encode`].
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut m = Mrn::new();
-        for p in m.pairs.iter_mut() {
-            *p = PairEntry {
-                load_tag: d.u32()?,
-                store_pc: d.u64()?,
-                conf: d.u8()?,
-            };
-        }
-        let n = d.seq_len()?;
-        for _ in 0..n {
-            let at = d.pos();
-            let i = d.u32()? as usize;
-            let (addr, writer) = (d.u64()?, d.u64()?);
-            if i >= m.last_writer.len() {
-                return Err(CodecError::BadLength { at, len: i as u64 });
-            }
-            m.last_writer[i] = (addr, writer);
-        }
-        Ok(m)
     }
 }
 

@@ -14,8 +14,6 @@
 //! stride of correct predictions is required, which preserves the behaviour
 //! while keeping the simulator reproducible.
 
-use sim_isa::{CodecError, Dec, Enc};
-
 /// A value prediction surfaced to the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValuePrediction {
@@ -214,61 +212,6 @@ impl Eves {
                 e.useful -= 1;
             }
         }
-    }
-
-    /// Encodes both components for a checkpoint.
-    pub fn encode(&self, e: &mut Enc) {
-        let Eves { stride, vtage } = self;
-        for s in stride {
-            let StrideEntry {
-                tag,
-                last_value,
-                stride,
-                conf,
-            } = *s;
-            e.u32(tag);
-            e.u64(last_value);
-            e.i64(stride);
-            e.u8(conf);
-        }
-        for table in vtage {
-            for v in table {
-                let VtageEntry {
-                    tag,
-                    value,
-                    conf,
-                    useful,
-                } = *v;
-                e.u32(tag);
-                e.u64(value);
-                e.u8(conf);
-                e.u8(useful);
-            }
-        }
-    }
-
-    /// Decodes a predictor written by [`Eves::encode`].
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut ev = Eves::new();
-        for s in ev.stride.iter_mut() {
-            *s = StrideEntry {
-                tag: d.u32()?,
-                last_value: d.u64()?,
-                stride: d.i64()?,
-                conf: d.u8()?,
-            };
-        }
-        for table in ev.vtage.iter_mut() {
-            for v in table.iter_mut() {
-                *v = VtageEntry {
-                    tag: d.u32()?,
-                    value: d.u64()?,
-                    conf: d.u8()?,
-                    useful: d.u8()?,
-                };
-            }
-        }
-        Ok(ev)
     }
 }
 

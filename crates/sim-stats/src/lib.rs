@@ -55,12 +55,6 @@ impl Counter {
         self.0 = 0;
     }
 
-    /// Reconstructs a counter at `v` (checkpoint restore).
-    #[must_use]
-    pub fn from_value(v: u64) -> Self {
-        Counter(v)
-    }
-
     /// This counter as a fraction of `total` (0.0 when `total` is 0).
     pub fn frac_of(&self, total: u64) -> f64 {
         if total == 0 {

@@ -8,7 +8,7 @@
 //! functional outcomes.
 
 use crate::program::{Program, STACK_TOP};
-use sim_isa::{ArchReg, BranchKind, CodecError, Dec, DynInst, Enc, MemAccess, OpKind, Pc};
+use sim_isa::{ArchReg, BranchKind, DynInst, MemAccess, OpKind, Pc};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -198,32 +198,6 @@ impl Memory {
             (page, &self.pages[base..base + PAGE_SIZE])
         })
     }
-
-    /// Encodes the full page slab for a checkpoint.
-    ///
-    /// Pages are written in ascending page-number order (see
-    /// [`Memory::pages`]), so encode → decode → encode is byte-stable; the
-    /// MRU memo is a pure cache and is not encoded.
-    pub fn encode(&self, e: &mut Enc) {
-        e.seq_len(self.page_count());
-        for (page, bytes) in self.pages() {
-            e.u64(page);
-            e.raw(bytes);
-        }
-    }
-
-    /// Decodes a memory image written by [`Memory::encode`].
-    pub fn decode(d: &mut Dec<'_>) -> Result<Memory, CodecError> {
-        let n = d.seq_len()?;
-        let mut mem = Memory::new();
-        mem.pages.reserve_exact(n * PAGE_SIZE);
-        for slot in 0..n {
-            let page = d.u64()?;
-            mem.pages.extend_from_slice(d.raw(PAGE_SIZE)?);
-            mem.index.insert(page, slot as u32);
-        }
-        Ok(mem)
-    }
 }
 
 /// The architectural machine state executing a program.
@@ -385,54 +359,6 @@ impl<'p> Machine<'p> {
     pub fn run(&mut self, n: usize) -> Vec<DynInst> {
         (0..n).map(|_| self.step()).collect()
     }
-
-    /// Encodes the architectural state (registers, memory image, shadow
-    /// return stack, PC, sequence counter) for a checkpoint. The program
-    /// itself is *not* encoded — restore re-binds the same program, and the
-    /// checkpoint header pins its identity.
-    pub fn encode(&self, e: &mut Enc) {
-        let Machine {
-            program: _,
-            regs,
-            mem,
-            ras,
-            pc_idx,
-            seq,
-        } = self;
-        for &r in regs.iter() {
-            e.u64(r);
-        }
-        mem.encode(e);
-        e.seq_len(ras.len());
-        for &addr in ras {
-            e.u32(addr);
-        }
-        e.u32(*pc_idx);
-        e.u64(*seq);
-    }
-
-    /// Decodes a machine written by [`Machine::encode`], re-bound to
-    /// `program` (which must be the same program that was checkpointed).
-    pub fn decode(program: &'p Program, d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut regs = [0u64; ArchReg::NUM_APX];
-        for r in regs.iter_mut() {
-            *r = d.u64()?;
-        }
-        let mem = Memory::decode(d)?;
-        let nras = d.seq_len()?;
-        let mut ras = Vec::with_capacity(nras);
-        for _ in 0..nras {
-            ras.push(d.u32()?);
-        }
-        Ok(Machine {
-            program,
-            regs,
-            mem,
-            ras,
-            pc_idx: d.u32()?,
-            seq: d.u64()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -533,49 +459,6 @@ mod tests {
         let p = counting_loop();
         let m = Machine::new(&p);
         assert_eq!(m.reg(ArchReg::RSP), STACK_TOP);
-    }
-
-    #[test]
-    fn machine_checkpoint_resumes_bit_exactly() {
-        let p = crate::memory_stress(0xC4E0_1234).build();
-        let mut straight = Machine::new(&p);
-        let mut half = Machine::new(&p);
-        let prefix = straight.run(5_000);
-        let _ = half.run(2_500);
-
-        let mut e = Enc::new();
-        half.encode(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let mut resumed = Machine::decode(&p, &mut d).unwrap();
-        d.finish().unwrap();
-
-        assert_eq!(resumed.executed(), 2_500);
-        let tail = resumed.run(2_500);
-        assert_eq!(&prefix[2_500..], &tail[..], "resumed records diverge");
-        assert_eq!(resumed.regs, straight.regs);
-        for rec in prefix.iter().filter_map(|r| r.mem) {
-            assert_eq!(
-                resumed.mem.read(rec.addr, rec.size),
-                straight.mem.read(rec.addr, rec.size)
-            );
-        }
-    }
-
-    #[test]
-    fn memory_encode_is_canonical_regardless_of_slot_order() {
-        // Two memories with identical contents but different page allocation
-        // order must encode identically (checkpoint byte-stability).
-        let mut a = Memory::new();
-        let mut b = Memory::new();
-        a.write(0x1000, 7, 8);
-        a.write(0x9000, 9, 8);
-        b.write(0x9000, 9, 8);
-        b.write(0x1000, 7, 8);
-        let (mut ea, mut eb) = (Enc::new(), Enc::new());
-        a.encode(&mut ea);
-        b.encode(&mut eb);
-        assert_eq!(ea.into_bytes(), eb.into_bytes());
     }
 
     #[test]
