@@ -89,7 +89,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     fi
 
     # I/O-chaos smoke: a cold run under seeded storage-fault injection
-    # (torn writes, bit flips, journal truncation) leaves damaged records;
+    # (torn object writes, payload bit flips) leaves damaged records;
     # the warm run must detect every one, list it in the quarantine table
     # as chaos-injected, and exit nonzero — while still completing every
     # figure. The store recovery machinery's end-to-end self-test.

@@ -9,6 +9,8 @@
 //! Enabled only by explicit opt-in: the `--chaos <seed>` flag or the
 //! `SIM_CHAOS=<seed>` environment variable.
 
+use sim_mem::splitmix64;
+
 /// The fault a chaos-selected cell is handed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosFault {
@@ -61,15 +63,6 @@ impl ChaosPlan {
             _ => None,
         }
     }
-}
-
-/// SplitMix64 finalizer — a full-avalanche mix with no dependencies.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -84,9 +84,9 @@ impl CellFailure {
         )
     }
 
-    /// Builds the bundle for a store that could not be opened at all
-    /// (unreadable directory, lock timeout): the sweep runs store-less,
-    /// and the environmental failure still lands in the quarantine table.
+    /// Builds the bundle for a store that could not be opened at all (its
+    /// directory could not be created): the sweep runs store-less, and the
+    /// environmental failure still lands in the quarantine table.
     pub fn from_store_error(dir: &str, detail: String) -> Self {
         CellFailure {
             workload: "(store)".to_string(),

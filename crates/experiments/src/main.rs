@@ -25,7 +25,8 @@
 //! the rest. Store damage quarantines (with forensics) and
 //! recomputes — it never corrupts a figure. `--io-chaos <seed>` (or
 //! `SIM_IO_CHAOS=<seed>`) layers deterministic storage-fault injection
-//! (torn writes, bit flips, journal truncation, lock contention) on top.
+//! (torn writes, bit flips) on top. The store takes no lock: any number
+//! of processes may share one directory.
 //!
 //! ## Fault isolation
 //!
@@ -202,7 +203,7 @@ fn main() {
         }
         match result_store::ResultStore::open(std::path::Path::new(dir), plan) {
             Ok(store) => {
-                eprintln!("[store: {dir} ({} record(s))]", store.len());
+                eprintln!("[store: {dir}]");
                 session = session.with_store(store);
             }
             Err(e) => {
@@ -244,7 +245,6 @@ fn main() {
         sweep_started.elapsed().as_secs_f64(),
         if uncached { ", uncached" } else { "" }
     );
-    session.finish_store();
     if let Some(stats) = session.store_stats() {
         eprintln!(
             "[store: {} hits, {} misses, {} writes, {} quarantined]",
@@ -409,13 +409,13 @@ fn run_cell(args: &[String]) -> i32 {
 /// With `SIM_STORE` set, `cell` also reports whether the persistent store
 /// already holds this cell and whether the stored digest matches the run
 /// just performed — the provenance line a quarantine investigation starts
-/// from. The probe opens the store *shared* (read-through, no healing, no
-/// lock), so it is safe beside a live sweep on the same directory.
+/// from. The store takes no lock, so the probe is safe beside a live sweep
+/// on the same directory.
 fn print_store_provenance(store_key: &result_store::StoreKey, fresh_digest: u64) {
     let Some(dir) = std::env::var("SIM_STORE").ok().filter(|s| !s.is_empty()) else {
         return;
     };
-    let mut store = match result_store::ResultStore::open_shared(std::path::Path::new(&dir), None) {
+    let mut store = match result_store::ResultStore::open(std::path::Path::new(&dir), None) {
         Ok(s) => s,
         Err(e) => {
             println!("store probe: {dir} unusable ({e})");

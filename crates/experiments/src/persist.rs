@@ -430,6 +430,7 @@ mod tests {
     use crate::configs::MachineKind;
     use constable::IdealOracle;
     use sim_core::Core;
+    use sim_mem::splitmix64;
 
     /// Runs one verified cell: a single workload, or an SMT2 pair.
     fn run_one(specs: &[&WorkloadSpec], cfg: CoreConfig, n: u64) -> RunOutcome {
@@ -446,15 +447,6 @@ mod tests {
             category: specs[0].category,
             result,
         }
-    }
-
-    /// SplitMix64: a std-only seeded stream for the damage fuzzer.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 
     #[test]
@@ -521,8 +513,10 @@ mod tests {
                 );
             }
             for _ in 0..2_000 {
-                let at = (splitmix(&mut rng) % bytes.len() as u64) as usize;
-                let mask = (splitmix(&mut rng) % 255 + 1) as u8;
+                rng = splitmix64(rng);
+                let at = (rng % bytes.len() as u64) as usize;
+                rng = splitmix64(rng);
+                let mask = (rng % 255 + 1) as u8;
                 let mut damaged = bytes.clone();
                 damaged[at] ^= mask;
                 let decoded = std::panic::catch_unwind(|| decode_outcome(&damaged).is_ok());

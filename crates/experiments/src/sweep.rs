@@ -299,18 +299,12 @@ impl<'s> SweepSession<'s> {
 
     /// Attaches a persistent result store. Cached sessions only — the
     /// uncached reference path stays a faithful replay of the pre-sweep
-    /// harness. Defects the store found while opening (a torn journal
-    /// tail) land in the quarantine registry immediately.
-    pub fn with_store(self, mut store: ResultStore) -> Self {
+    /// harness.
+    pub fn with_store(self, store: ResultStore) -> Self {
         assert!(
             self.cache.is_some(),
             "the result store requires the cached (pooled) session"
         );
-        for defect in store.take_open_defects() {
-            self.record_failure(&CellFailure::from_store_defect(
-                &defect, "(store)", 0, self.n,
-            ));
-        }
         *self.store.lock().expect("store lock") = Some(store);
         self
     }
@@ -328,17 +322,6 @@ impl<'s> SweepSession<'s> {
     /// directory could not be opened) in the quarantine registry.
     pub fn record_store_failure(&self, failure: &CellFailure) {
         self.record_failure(failure);
-    }
-
-    /// Applies end-of-run store chaos (journal-tail truncation), if an
-    /// I/O chaos plan scheduled it. Called by the binary after the last
-    /// figure so the *next* open exercises replay recovery.
-    pub fn finish_store(&self) {
-        if let Some(store) = self.store.lock().expect("store lock").as_mut() {
-            if let Err(e) = store.apply_close_chaos() {
-                eprintln!("[store: close-time chaos injection failed: {e}]");
-            }
-        }
     }
 
     /// Tries to answer one cell from the store. A verified hit returns the
@@ -714,8 +697,9 @@ impl<'s> SweepSession<'s> {
     /// With a store attached, each job persists its own cell right after
     /// it verifies, so the store holds only verified-clean outcomes and a
     /// killed sweep keeps every cell that finished. With more than one
-    /// worker the journal therefore lists cells in completion order, not
-    /// submission order.
+    /// worker, records therefore land in completion order, not submission
+    /// order; nothing depends on that order, since each record stands
+    /// alone.
     fn run_cells(&self, sets: Vec<Vec<Cell>>) -> Vec<Vec<CellOutcome>> {
         let cache = self.cache.as_ref().expect("cached mode only");
         self.ensure_programs();

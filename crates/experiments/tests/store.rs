@@ -3,7 +3,7 @@
 //! the keys must survive process death, and a warm process must answer
 //! every memoizable cell from disk with byte-identical figure text.
 
-use std::fs::{self, OpenOptions};
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -98,23 +98,15 @@ fn warm_process_answers_every_cell_from_disk_bit_identically() {
 }
 
 #[test]
-fn corrupted_record_and_torn_journal_quarantine_with_forensics() {
+fn corrupted_record_quarantines_with_forensics() {
     let dir = tmp_store("corrupt");
     let cold = run(Some(&dir), &[]);
     assert!(cold.status.success(), "cold run: {}", stderr(&cold));
 
-    // Flip one payload bit in one record and tear the journal tail — the
-    // two damage classes the recovery machinery must classify separately.
-    // Cells are journaled in completion order, so the victim is a record
-    // whose journal entry is not the last one (the tear drops that entry).
-    let journal = dir.join("journal.log");
-    let entries = fs::read(&journal).unwrap();
-    let last = &entries[entries.len() - 33..];
-    let last_hash = u64::from_le_bytes(last[1..9].try_into().unwrap());
+    // Flip one payload bit in one record.
     let mut objects: Vec<PathBuf> = fs::read_dir(dir.join("objects"))
         .expect("objects dir")
         .map(|e| e.unwrap().path())
-        .filter(|p| !p.ends_with(format!("{last_hash:016x}.rec")))
         .collect();
     objects.sort();
     let victim = objects.first().expect("store has records");
@@ -122,13 +114,6 @@ fn corrupted_record_and_torn_journal_quarantine_with_forensics() {
     let n = bytes.len();
     bytes[n - 9] ^= 0x04;
     fs::write(victim, &bytes).unwrap();
-    let jlen = entries.len() as u64;
-    OpenOptions::new()
-        .write(true)
-        .open(&journal)
-        .unwrap()
-        .set_len(jlen - 7)
-        .unwrap();
 
     let damaged = run(Some(&dir), &[]);
     assert_eq!(
@@ -136,11 +121,12 @@ fn corrupted_record_and_torn_journal_quarantine_with_forensics() {
         Some(2),
         "store damage must exit 2 (quarantined), not fail figures"
     );
-    let (_, _, _, quarantined) = store_counters(&damaged);
+    let (_, misses, writes, quarantined) = store_counters(&damaged);
     assert_eq!(quarantined, 1, "exactly the bit-flipped record quarantines");
+    assert_eq!(misses, 1, "only the bit-flipped cell recomputes");
+    assert_eq!(writes, 1, "the recomputed cell is stored again");
     let table = stdout(&damaged);
     assert!(table.contains("store-corrupt"), "{table}");
-    assert!(table.contains("store-journal"), "{table}");
     assert!(
         table.contains("expected 0x") && table.contains("actual 0x"),
         "forensics must carry the checksum pair: {table}"
@@ -155,7 +141,7 @@ fn corrupted_record_and_torn_journal_quarantine_with_forensics() {
     // never correctness.
     assert_eq!(figure_text(&damaged), figure_text(&cold));
 
-    // The rerun healed the store (recomputed + rewrote the damaged cells):
+    // The rerun healed the store (recomputed + rewrote the damaged cell):
     // one more process answers clean again from disk.
     let healed = run(Some(&dir), &[]);
     assert!(healed.status.success(), "healed run: {}", stderr(&healed));
@@ -215,7 +201,7 @@ fn cell_subcommand_prints_a_cross_process_stable_store_key() {
     assert!(a.contains("format v1"), "{a}");
 }
 
-/// `SIM_STORE` makes `cell` probe the store *shared* for the cell it just
+/// `SIM_STORE` makes `cell` probe the store for the cell it just
 /// ran. After a sweep populated the store, the probe must find the cell
 /// under the same key and agree with the fresh run's digest — a MISS
 /// means the `cell` key drifted from the sweep's key.
@@ -264,14 +250,12 @@ fn resume_sweep(store: Option<&Path>) -> Command {
     cmd
 }
 
-/// Whether the store holds at least one durable, indexed cell: a record
-/// file in `objects/` and a complete journal entry (33 bytes) naming it.
+/// Whether the store holds at least one durable cell. A record reaches
+/// `objects/` only by an atomic rename, so any `.rec` there is complete.
 fn first_cell_landed(dir: &Path) -> bool {
-    let has_record = fs::read_dir(dir.join("objects")).is_ok_and(|mut it| {
+    fs::read_dir(dir.join("objects")).is_ok_and(|mut it| {
         it.any(|e| e.is_ok_and(|e| e.path().extension().is_some_and(|x| x == "rec")))
-    });
-    let journal_len = fs::metadata(dir.join("journal.log")).map_or(0, |m| m.len());
-    has_record && journal_len >= 33
+    })
 }
 
 /// A sweep SIGKILLed the moment its first cell is durable keeps that cell:
@@ -336,5 +320,73 @@ fn killed_sweep_resumes_from_the_cells_it_finished() {
          as they finish"
     );
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The store takes no lock: a sweep runs beside another process that holds
+/// the same store open, stores every cell it computes, and that process's
+/// own handle then reads the sweep's records.
+#[test]
+fn concurrent_processes_share_a_store() {
+    let dir = tmp_store("share");
+    let mut held = result_store::ResultStore::open(&dir, None).expect("store opens");
+    let fig11 = |store: Option<&Path>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
+        cmd.args(["fig11", "--quick", "--subset", "2"]);
+        if let Some(dir) = store {
+            cmd.arg("--store-dir").arg(dir);
+        }
+        cmd.env_remove("SIM_STORE")
+            .env_remove("SIM_IO_CHAOS")
+            .env_remove("SIM_CHAOS")
+            .output()
+            .expect("binary runs")
+    };
+    let reference = fig11(None);
+    assert!(reference.status.success());
+
+    let shared = fig11(Some(&dir));
+    assert!(
+        shared.status.success(),
+        "a sweep beside a live store handle must run clean: {}",
+        stderr(&shared)
+    );
+    let (_, misses, writes, quarantined) = store_counters(&shared);
+    assert_eq!(quarantined, 0);
+    assert!(misses > 0);
+    assert_eq!(writes, misses, "the sweep stores every cell it computes");
+    assert_eq!(stdout(&shared), stdout(&reference));
+
+    let specs = sim_workload::suite_subset(2);
+    let cfg = experiments::MachineKind::Constable.config(constable::IdealOracle::default());
+    let key = experiments::store_key(&[&specs[0]], &cfg, experiments::RunLength::quick());
+    assert!(
+        matches!(held.get(&key), result_store::GetOutcome::Hit { .. }),
+        "the held handle must see the sweep's record for {}",
+        specs[0].name
+    );
+    drop(held);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The one way a store open can still fail is a directory that cannot be
+/// created. The sweep then runs store-less: every figure row matches a
+/// store-less run, and the failure lands in the quarantine table as
+/// `store-io` with exit 2.
+#[test]
+fn unusable_store_dir_runs_store_less_and_exits_2() {
+    let dir = tmp_store("unusable");
+    fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("not-a-dir");
+    fs::write(&file, b"a regular file").unwrap();
+
+    let reference = run(None, &[]);
+    assert!(reference.status.success());
+    let out = run(Some(&file.join("store")), &[]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    let table = stdout(&out);
+    let quarantine = &table[table.find("================ quarantine").expect("table")..];
+    assert!(quarantine.contains("store-io"), "{quarantine}");
+    assert_eq!(figure_text(&out), stdout(&reference));
     let _ = fs::remove_dir_all(&dir);
 }

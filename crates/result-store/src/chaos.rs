@@ -1,20 +1,14 @@
 //! Seeded I/O fault injection.
 //!
-//! Mirrors the experiments-level `ChaosPlan` (seeded splitmix64, pure
-//! function of `(seed, key hash)`) but targets the storage layer: torn
-//! object writes, payload bit flips, journal-tail truncation, and lock
-//! contention. Faults are injected *after* the store's atomic write path
-//! has run, so every recovery path — checksum verify, quarantine, journal
-//! truncation, lock retry — is exercised exactly as it would be by real
-//! disk damage, and deterministically per seed.
+//! Mirrors the experiments-level `ChaosPlan` (the shared
+//! [`sim_mem::splitmix64`], pure function of `(seed, key hash)`) but
+//! targets the storage layer: torn object writes and payload bit flips.
+//! Faults are injected *after* the store's atomic write path has run, so
+//! the recovery path — checksum verify, then quarantine — is exercised
+//! exactly as it would be by real disk damage, and deterministically per
+//! seed.
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use sim_mem::splitmix64;
 
 /// A storage fault scheduled for one record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,43 +68,6 @@ impl IoChaosPlan {
     pub fn tear_len(&self, key_hash: u64) -> u64 {
         1 + self.roll(3, key_hash) % 96
     }
-
-    /// Whether to tear the journal tail when the store closes its run
-    /// (exercises replay-truncation recovery on the next open). Injected
-    /// on roughly 1/2 of seeds so chaos CI reliably covers it.
-    pub fn truncate_journal_tail(&self) -> Option<u64> {
-        let r = self.roll(4, 0);
-        if r & 1 == 0 {
-            Some(1 + r % 24)
-        } else {
-            None
-        }
-    }
-
-    /// Number of initial lock-acquire attempts to fail with simulated
-    /// contention (0 on most seeds; small so opens still succeed).
-    pub fn lock_contention_attempts(&self) -> u32 {
-        let r = self.roll(5, 0);
-        if r.is_multiple_of(4) {
-            (1 + r % 3) as u32
-        } else {
-            0
-        }
-    }
-
-    /// Bytes to tear off the freshly **compacted** journal, if scheduled
-    /// (roughly 1/2 of seeds). Compaction rewrites the whole index through
-    /// tmp → fsync → rename — a write path the per-put and close-time
-    /// faults never touched — so a torn compacted journal exercises replay
-    /// recovery over exactly the bytes compaction produced.
-    pub fn compaction_tear(&self) -> Option<u64> {
-        let r = self.roll(6, 0);
-        if r & 1 == 0 {
-            Some(1 + r % 24)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,20 +104,6 @@ mod tests {
         let hit = flips + tears;
         assert!((128..=384).contains(&hit), "rate off: {hit}/1024");
         assert!(flips > 0 && tears > 0);
-    }
-
-    #[test]
-    fn compaction_stream_is_a_deterministic_per_seed_coin_flip() {
-        let a = IoChaosPlan::new(7);
-        let b = IoChaosPlan::new(7);
-        assert_eq!(a.compaction_tear(), b.compaction_tear());
-        if let Some(t) = a.compaction_tear() {
-            assert!((1..=24).contains(&t));
-        }
-        // The compaction stream is a per-seed coin flip, not a constant.
-        let plans = || (0..64u64).map(IoChaosPlan::new);
-        assert!(plans().any(|p| p.compaction_tear().is_some()));
-        assert!(plans().any(|p| p.compaction_tear().is_none()));
     }
 
     #[test]

@@ -14,38 +14,31 @@
 //!   key bytes (hash collisions can never alias two keys), an FNV-1a
 //!   payload checksum (the same `sim_mem::TraceDigest` machinery as the
 //!   golden-trace locks), and the run's `stats_digest`;
-//! * writes are atomic: temp file → fsync → rename, then a journal append;
-//! * the index is an append-only, self-checking journal that is replayed
-//!   (tolerating a torn tail) and compacted on open;
-//! * a pid lock file guards against concurrent processes, with stale-lock
-//!   stealing when the owning process is gone.
+//! * writes are atomic: temp file → fsync → rename, so a record file is
+//!   either absent or complete, and a rename that landed is a stored cell;
+//! * the record files are the whole store: there is no index and no lock,
+//!   and concurrent processes share one directory freely.
 //!
-//! On any defect — truncated journal tail, checksum mismatch, version
-//! skew, torn record, unreadable directory — the store **degrades
-//! gracefully**: the damaged entry is moved to `quarantine/` with full
-//! forensics (key hash, expected/actual checksum, byte offset) surfaced as
-//! a [`StoreDefect`], the affected cell recomputes as a miss, and the
-//! process never panics on store damage.
+//! On any defect — checksum mismatch, version skew, torn record,
+//! unreadable file — the store **degrades gracefully**: the damaged record
+//! is moved to `quarantine/` with full forensics (key hash,
+//! expected/actual checksum, byte offset) surfaced as a [`StoreDefect`],
+//! the affected cell recomputes as a miss, and the process never panics on
+//! store damage.
 //!
 //! [`IoChaosPlan`] provides seeded, deterministic I/O fault injection
-//! (torn writes, payload bit flips, journal-tail truncation, lock
-//! contention) so the recovery paths are exercised end to end by the
-//! experiments harness and CI.
+//! (torn writes, payload bit flips) so the recovery paths are exercised
+//! end to end by the experiments harness and CI.
 
 mod chaos;
-mod journal;
 mod key;
 mod record;
 mod store;
 
 pub use chaos::{IoChaosPlan, IoFault};
-pub use journal::{Journal, JournalEntry, JournalOp};
 pub use key::StoreKey;
 pub use record::{RecordHeader, FORMAT_VERSION};
-pub use store::{
-    probe_process, process_alive, stale_verdict, GetOutcome, Liveness, OpenMode, ResultStore,
-    StoreDefect, StoreDefectKind, StoreStats,
-};
+pub use store::{GetOutcome, ResultStore, StoreDefect, StoreDefectKind, StoreStats};
 
 /// Version of the **key** byte layout: the tuple
 /// (`WorkloadSpec::stable_key_encode`, `CoreConfig::stable_encode`, run

@@ -1,4 +1,4 @@
-//! Content digests for golden-trace locks.
+//! Content digests for golden-trace locks, and the one seeded mix.
 //!
 //! Both golden-file suites — the memory-hierarchy trace lock in this
 //! crate's tests and the scheduling trace oracle in `sim-core` — fold an
@@ -100,6 +100,26 @@ impl Default for TraceDigest {
     fn default() -> Self {
         TraceDigest::new()
     }
+}
+
+/// SplitMix64 finalizer: a full-avalanche, dependency-free mix of one
+/// word. The seeded fault planners (sweep chaos and storage chaos) derive
+/// every decision from it, so a schedule is a pure function of its inputs
+/// and is stable across platforms and Rust releases.
+///
+/// ```
+/// use sim_mem::splitmix64;
+///
+/// assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+/// assert_ne!(splitmix64(1), splitmix64(2));
+/// ```
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

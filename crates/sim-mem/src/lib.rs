@@ -28,7 +28,7 @@ pub use cache::{
     line_addr, Cache, CacheStats, FillPlan, InsertResult, LookupResult, Replacement, LINE_BYTES,
 };
 pub use coherence::{Directory, Snoop, SnoopInjector};
-pub use digest::TraceDigest;
+pub use digest::{splitmix64, TraceDigest};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use hierarchy::{
     AccessOutcome, EvictionSink, HierarchyStats, HitLevel, MemConfig, MemoryHierarchy,
