@@ -165,7 +165,7 @@ EOF
         BENCH_scheduler.json "$SHIM_OUT/scheduler.json" 0.5
 
     # Sweep-engine smoke: asserts memoized figure text is byte-identical to
-    # the uncached run_suite path, then times the multi-figure sweep both
+    # the uncached session, then times the multi-figure sweep both
     # ways (the ≥2.5× criterion is checked on the full run, not the smoke).
     step "bench smoke (sweep)"
     CRITERION_SHIM_QUICK=1 cargo bench -p bench --bench sweep

@@ -1,6 +1,7 @@
 //! Sweep-engine throughput: a multi-figure quick sweep (the
 //! `experiments -- <figs> --quick` shape) through the memoizing
-//! [`SweepSession`] vs the direct uncached `run_suite` path.
+//! [`SweepSession`] vs an uncached session, which runs every cell it is
+//! asked for on the same pool with no memo, no dedupe and no store.
 //!
 //! This is the harness behind the sweep-memoization acceptance criterion:
 //! `sweep/memoized` must beat `sweep/uncached` by ≥2.5× wall-clock, with

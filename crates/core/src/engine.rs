@@ -49,7 +49,7 @@ pub enum ResetReason {
 }
 
 /// Aggregate Constable statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConstableStats {
     pub loads_renamed: u64,
     pub eliminated: u64,

@@ -14,8 +14,7 @@
 use crate::configs::MachineKind;
 use crate::fault::CellFailure;
 use crate::runner::{category_speedups, geomean_speedup, RunOutcome};
-use crate::sweep::{BatchJob, MkOracleConfig, MkPairConfig, SweepSession};
-use sim_core::{Core, SimScratch};
+use crate::sweep::{MkOracleConfig, MkPairConfig, SweepSession};
 use sim_isa::AddrMode;
 use sim_stats::{geomean, pct, speedup, BoxStats, Table};
 use sim_workload::Category;
@@ -528,46 +527,15 @@ pub fn fig17(session: &SweepSession<'_>) -> Result<String, CellFailure> {
         "\nNot global-stable but eliminated (phase-stable): {} of global-stable volume\n",
         pct(not_stable_elim as f64 / tot)
     ));
-    // Loss attribution from the engine's reset-reason counters, re-derived
-    // from dedicated instrumented runs — on the session pool, with
-    // worker-scratch reuse.
-    let take = session.specs().len().min(10);
-    let half = session.run_length().0 / 2;
-    let jobs: Vec<BatchJob<(u64, u64, u64, u64)>> = (0..take)
-        .map(|i| {
-            let program = session.program(i);
-            let job: BatchJob<(u64, u64, u64, u64)> = Box::new(move |scratch: &mut SimScratch| {
-                let s = std::mem::take(scratch);
-                let cfg = MachineKind::Constable.config(Default::default());
-                let mut core = Core::new_multi_with_scratch(vec![&program], cfg, s);
-                core.run(half);
-                let counts = core
-                    .constable()
-                    .map(|c| {
-                        let cs = c.stats();
-                        (
-                            cs.resets_reg_write,
-                            cs.resets_store,
-                            cs.resets_snoop,
-                            cs.resets_amt_conflict + cs.resets_rmt_conflict,
-                        )
-                    })
-                    .unwrap_or_default();
-                *scratch = core.into_scratch();
-                counts
-            });
-            job
-        })
-        .collect();
-    let mut reg = 0u64;
-    let mut store = 0u64;
-    let mut snoop = 0u64;
-    let mut other = 0u64;
-    for (r, s, sn, o) in session.run_batch(jobs) {
-        reg += r;
-        store += s;
-        snoop += sn;
-        other += o;
+    // Loss attribution from the engine's reset-reason counters of the
+    // same runs.
+    let (mut reg, mut store, mut snoop, mut other) = (0u64, 0u64, 0u64, 0u64);
+    for r in &runs {
+        let cs = &r.result.stats.constable;
+        reg += cs.resets_reg_write;
+        store += cs.resets_store;
+        snoop += cs.resets_snoop;
+        other += cs.resets_amt_conflict + cs.resets_rmt_conflict;
     }
     let total_resets = (reg + store + snoop + other).max(1) as f64;
     text.push_str(&format!(
@@ -984,30 +952,17 @@ pub fn amt_granularity(session: &SweepSession<'_>) -> Result<String, CellFailure
 /// §6.3: xPRF occupancy — how often elimination is forgone for lack of a
 /// free xPRF register.
 pub fn xprf(session: &SweepSession<'_>) -> Result<String, CellFailure> {
-    let take = session.specs().len().min(10);
-    let n = session.run_length().0;
-    let jobs: Vec<BatchJob<Option<(String, f64)>>> = (0..take)
-        .map(|i| {
-            let program = session.program(i);
-            let name = session.specs()[i].name.clone();
-            let job: BatchJob<Option<(String, f64)>> = Box::new(move |scratch: &mut SimScratch| {
-                let s = std::mem::take(scratch);
-                let cfg = MachineKind::Constable.config(Default::default());
-                let mut core = Core::new_multi_with_scratch(vec![&program], cfg, s);
-                core.run(n);
-                let row = core.constable().map(|c| {
-                    let s = c.stats();
-                    let frac = s.xprf_full_forgone as f64
-                        / (s.eliminated + s.xprf_full_forgone).max(1) as f64;
-                    (name, frac)
-                });
-                *scratch = core.into_scratch();
-                row
-            });
-            job
+    let runs = session.suite(MachineKind::Constable)?;
+    let rows: Vec<(String, f64)> = runs
+        .iter()
+        .take(10)
+        .map(|r| {
+            let s = &r.result.stats.constable;
+            let frac =
+                s.xprf_full_forgone as f64 / (s.eliminated + s.xprf_full_forgone).max(1) as f64;
+            (r.workload.clone(), frac)
         })
         .collect();
-    let rows: Vec<(String, f64)> = session.run_batch(jobs).into_iter().flatten().collect();
     let fracs: Vec<f64> = rows.iter().map(|r| r.1).collect();
     let mut t = Table::new(["workload", "elims forgone (xPRF full)"]);
     for (name, f) in &rows {

@@ -39,10 +39,13 @@
 //! # let _ = (f11, f12);
 //! ```
 //!
-//! [`SweepSession::uncached`] produces the pre-memoization behavior (direct
-//! [`runner::run_suite`] calls, per-run program builds); both modes emit
-//! byte-identical figure text — asserted by `tests/sweep.rs` and measured
-//! by `cargo bench -p bench --bench sweep`.
+//! Every cell — single-thread or SMT2, memoized or not — runs through one
+//! function on the session's one pool, and every counter a figure reads
+//! (the Constable engine's included) comes back in the cell's verified
+//! result. [`SweepSession::uncached`] runs the same cells with no memo, no
+//! dedupe and no store; both modes emit byte-identical figure text —
+//! asserted by `tests/sweep.rs` and measured by
+//! `cargo bench -p bench --bench sweep`.
 
 pub mod chaos;
 pub mod configs;
@@ -56,7 +59,7 @@ pub use chaos::{ChaosFault, ChaosPlan};
 pub use configs::MachineKind;
 pub use fault::{CellFailure, CellOutcome};
 pub use persist::{decode_outcome, encode_outcome, store_key, PAYLOAD_VERSION};
-pub use runner::{run_one, run_suite, run_suite_smt2, RunLength, RunOutcome, WATCHDOG_BUDGET};
+pub use runner::{RunLength, RunOutcome, WATCHDOG_BUDGET};
 pub use sweep::{MkOracleConfig, MkPairConfig, SweepPool, SweepSession};
 
 /// The figure ids the harness understands, with their runners.
@@ -89,9 +92,9 @@ pub const FIGURES: &[&str] = &[
 ];
 
 /// The machine suites a figure id sweeps, for figures whose work *is* a
-/// plain (workload × machine) matrix. Figures built from instrumented or
-/// parameter-swept runs (fig6, fig17, fig20a/b, amt-granularity, xprf, the
-/// static tables) are not cell-mappable and return `None`.
+/// plain (workload × machine) matrix. Figures built from custom-config or
+/// parameter-swept runs (fig6, fig17, fig20a/b) and the pure-analysis and
+/// static ones (fig3, the tables) return `None`.
 pub fn figure_kinds(id: &str) -> Option<&'static [MachineKind]> {
     use MachineKind::*;
     Some(match id {
@@ -118,6 +121,8 @@ pub fn figure_kinds(id: &str) -> Option<&'static [MachineKind]> {
         "fig18" | "fig19" | "fig23" | "fig24" => &[Baseline, Constable],
         "fig21" => &[Baseline, Elar, Rfp, Constable, ElarConstable, RfpConstable],
         "fig22" => &[Baseline, Constable, ConstableAmtI],
+        "amt-granularity" => &[Baseline, Constable, ConstableFullAddrAmt],
+        "xprf" => &[Constable],
         "verify" => &[
             Baseline,
             Constable,
@@ -182,20 +187,21 @@ mod tests {
 
     #[test]
     fn figure_kinds_maps_only_figure_ids() {
-        let mapped = [
-            "fig7", "fig9a", "fig9b", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-            "fig18", "fig19", "fig21", "fig22", "fig23", "fig24", "verify",
+        // Every figure id maps to a non-empty machine list except these.
+        let unmapped = [
+            "fig3", "fig6", "fig17", "fig20a", "fig20b", "table1", "table3",
         ];
-        for id in mapped {
-            assert!(FIGURES.contains(&id), "{id} maps but is not a figure id");
-            assert!(!figure_kinds(id).expect("maps").is_empty(), "{id}");
+        for id in FIGURES {
+            let kinds = figure_kinds(id);
+            assert_eq!(kinds.is_none(), unmapped.contains(id), "{id}");
+            assert!(kinds.is_none_or(|k| !k.is_empty()), "{id}");
         }
-        let in_figures = FIGURES.iter().filter(|id| figure_kinds(id).is_some());
-        assert_eq!(in_figures.count(), mapped.len());
         let fig11 = figure_kinds("fig11").expect("fig11 maps");
         assert_eq!(fig11.len(), 5);
         assert!(fig11.contains(&MachineKind::EvesIdealConstable));
-        assert!(figure_kinds("fig6").is_none(), "fig6 is not a matrix");
+        assert_eq!(figure_kinds("xprf"), Some(&[MachineKind::Constable][..]));
+        let amt = figure_kinds("amt-granularity").expect("amt-granularity maps");
+        assert!(amt.contains(&MachineKind::ConstableFullAddrAmt));
         assert!(figure_kinds("nope").is_none());
     }
 }

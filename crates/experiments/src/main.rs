@@ -11,8 +11,9 @@
 //! assembled once, load-inspector analyses run once, and every repeated
 //! (workload, configuration) simulation — the Baseline suite above all —
 //! is memoized, so `all` costs the union of distinct runs, not the sum of
-//! per-figure suites. Pass `--uncached` to bypass the session caches (the
-//! pre-memoization behavior, useful for A/B timing).
+//! per-figure suites. Every simulation a figure reports is such a cell:
+//! it runs under the watchdog, passes the §8.5 check, and carries all of
+//! its counters (the Constable engine's included) in its result.
 //!
 //! ## Persistent store
 //!
@@ -53,7 +54,7 @@ use sim_core::{Core, TraceRecorder};
 /// the sweep's 2/3 quarantine codes.
 const EX_USAGE: i32 = 64;
 
-const USAGE: &str = "usage: experiments -- <figure-id>|all [--quick] [--subset N] [--uncached] \
+const USAGE: &str = "usage: experiments -- <figure-id>|all [--quick] [--subset N] \
      [--keep-going|--fail-fast] [--chaos <seed>] [--store-dir <path>] [--io-chaos <seed>]
        experiments -- cell <workload>[+<workload>] <machine-slug> [--depth-scale X] \
      [--quick|--len N]
@@ -115,7 +116,6 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut n = RunLength::full();
     let mut subset: Option<usize> = None;
-    let mut uncached = false;
     let mut keep_going: Option<bool> = None;
     let mut chaos = env_seed("SIM_CHAOS").map(ChaosPlan::new);
     let mut store_dir: Option<String> = std::env::var("SIM_STORE").ok().filter(|s| !s.is_empty());
@@ -124,7 +124,6 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => n = RunLength::quick(),
-            "--uncached" => uncached = true,
             "--keep-going" => keep_going = Some(true),
             "--fail-fast" => keep_going = Some(false),
             "--store-dir" => {
@@ -165,18 +164,6 @@ fn main() {
     // Keep going by default when several figures run: one quarantined cell
     // must not cost the rest of the sweep.
     let keep_going = keep_going.unwrap_or(ids.len() > 1);
-    if chaos.is_some() && uncached {
-        usage_error(
-            "--chaos requires the cached (pooled) session; drop --uncached",
-            USAGE,
-        );
-    }
-    if store_dir.is_some() && uncached {
-        usage_error(
-            "--store-dir requires the cached (pooled) session; drop --uncached",
-            USAGE,
-        );
-    }
     if io_chaos.is_some() && store_dir.is_none() {
         usage_error(
             "--io-chaos injects storage faults; it requires --store-dir (or SIM_STORE)",
@@ -187,11 +174,7 @@ fn main() {
         Some(k) => sim_workload::suite_subset(k),
         None => sim_workload::suite(),
     };
-    let mut session = if uncached {
-        SweepSession::uncached(&specs, n)
-    } else {
-        SweepSession::new(&specs, n)
-    };
+    let mut session = SweepSession::new(&specs, n);
     if let Some(plan) = chaos {
         eprintln!("[chaos mode: seed {}]", plan.seed());
         session = session.with_chaos(plan);
@@ -241,9 +224,8 @@ fn main() {
         eprintln!("[{id} took {:.1}s]", started.elapsed().as_secs_f64());
     }
     eprintln!(
-        "[sweep total {:.1}s{}]",
-        sweep_started.elapsed().as_secs_f64(),
-        if uncached { ", uncached" } else { "" }
+        "[sweep total {:.1}s]",
+        sweep_started.elapsed().as_secs_f64()
     );
     if let Some(stats) = session.store_stats() {
         eprintln!(
@@ -388,6 +370,17 @@ fn run_cell(args: &[String]) -> i32 {
     println!(
         "elimination: {} eliminated, {} violations, arm_guard_blocked {}",
         result.stats.loads_eliminated, result.stats.elim_violations, result.stats.arm_guard_blocked
+    );
+    let cs = &result.stats.constable;
+    println!(
+        "constable engine: {} eliminated at rename, {} xPRF-forgone; resets: register write {}, \
+         store {}, snoop {}, capacity {}",
+        cs.eliminated,
+        cs.xprf_full_forgone,
+        cs.resets_reg_write,
+        cs.resets_store,
+        cs.resets_snoop,
+        cs.resets_amt_conflict + cs.resets_rmt_conflict
     );
     print_store_provenance(&store_key, result.stats_digest());
     match result.verify() {

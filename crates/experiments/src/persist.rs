@@ -25,14 +25,17 @@
 //! ## Payload format (`PAYLOAD_VERSION`)
 //!
 //! A flat LE encoding of the verified-clean [`RunOutcome`]: workload name,
-//! category, per-thread retirement, and every `CoreStats` field in
-//! declaration order (histogram as bounds/counts/raw sum; the per-PC maps
-//! sorted by PC so encoding is deterministic). Only outcomes whose
+//! category, per-thread retirement, and every `CoreStats` field: the
+//! scalar counters in declaration order, then the 13 Constable engine
+//! counters (`CoreStats::constable`, since version 2), the histogram as
+//! bounds/counts/raw sum, and the per-PC maps sorted by PC so encoding is
+//! deterministic. Only outcomes whose
 //! `SimResult::verify()` returned `Ok` are persisted, so the failure
 //! fields (`hit_cycle_guard`, `first_mismatch`, `watchdog`) are known
 //! clean and not serialised.
 
 use crate::runner::{RunLength, RunOutcome};
+use constable::ConstableStats;
 use result_store::StoreKey;
 use sim_core::{CoreConfig, CoreStats, SimResult};
 use sim_stats::Histogram;
@@ -41,7 +44,7 @@ use sim_workload::{Category, WorkloadSpec};
 /// Version of the payload byte layout. Bump on any codec change; old
 /// payloads then decode to [`PayloadError::Version`] and the cell
 /// recomputes as a miss.
-pub const PAYLOAD_VERSION: u8 = 1;
+pub const PAYLOAD_VERSION: u8 = 2;
 
 /// Assembles the stable store key of one sweep cell: the specs of every
 /// hardware thread (one for single-thread cells, two for an SMT2 pairing),
@@ -160,6 +163,7 @@ pub fn encode_outcome(outcome: &RunOutcome) -> Vec<u8> {
         sld_updates_per_cycle,
         cv_pins,
         arm_guard_blocked,
+        constable,
         elar_resolved,
         rfp_address_hits,
         ordering_violations,
@@ -224,6 +228,40 @@ pub fn encode_outcome(outcome: &RunOutcome) -> Vec<u8> {
         sld_writes,
         amt_probes,
         eves_lookups,
+    ] {
+        put_u64(&mut out, v);
+    }
+
+    // The engine's counters, behind their own exhaustive destructure.
+    let ConstableStats {
+        loads_renamed,
+        eliminated,
+        marked_likely_stable,
+        armed,
+        xprf_full_forgone,
+        resets_reg_write,
+        resets_store,
+        resets_snoop,
+        resets_amt_conflict,
+        resets_rmt_conflict,
+        resets_l1_evict,
+        resets_violation,
+        cv_pins_requested,
+    } = constable;
+    for &v in [
+        loads_renamed,
+        eliminated,
+        marked_likely_stable,
+        armed,
+        xprf_full_forgone,
+        resets_reg_write,
+        resets_store,
+        resets_snoop,
+        resets_amt_conflict,
+        resets_rmt_conflict,
+        resets_l1_evict,
+        resets_violation,
+        cv_pins_requested,
     ] {
         put_u64(&mut out, v);
     }
@@ -379,6 +417,25 @@ pub fn decode_outcome(payload: &[u8]) -> Result<RunOutcome, PayloadError> {
         for slot in slots {
             *slot = cur.u64()?;
         }
+        let c = &mut stats.constable;
+        let slots: [&mut u64; 13] = [
+            &mut c.loads_renamed,
+            &mut c.eliminated,
+            &mut c.marked_likely_stable,
+            &mut c.armed,
+            &mut c.xprf_full_forgone,
+            &mut c.resets_reg_write,
+            &mut c.resets_store,
+            &mut c.resets_snoop,
+            &mut c.resets_amt_conflict,
+            &mut c.resets_rmt_conflict,
+            &mut c.resets_l1_evict,
+            &mut c.resets_violation,
+            &mut c.cv_pins_requested,
+        ];
+        for slot in slots {
+            *slot = cur.u64()?;
+        }
     }
 
     let nbounds = cur.count(1 << 12)?;
@@ -465,6 +522,13 @@ mod tests {
                 outcome.result.retired_per_thread
             );
             assert_eq!(back.result.stats, outcome.result.stats);
+            if kind == MachineKind::Constable {
+                let cs = &outcome.result.stats.constable;
+                assert!(
+                    cs.eliminated > 0 && cs.resets_reg_write > 0,
+                    "engine counters must be live for the round trip to mean anything: {cs:?}"
+                );
+            }
             assert_eq!(
                 back.result.stats_digest(),
                 outcome.result.stats_digest(),

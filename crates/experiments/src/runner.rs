@@ -1,17 +1,10 @@
-//! Parallel suite execution.
-//!
-//! Workers pull (work-steal) workload indices off a shared atomic queue and
-//! stream results back over a channel — no lock is held around the result
-//! vector. Each worker owns one [`SimScratch`] that is threaded through
-//! every simulation it runs, so the µop slab, event heap, and per-cycle
-//! buffers are allocated once per worker rather than once per run.
+//! What one sweep cell is and how figures compare them: the run length,
+//! the verified [`RunOutcome`] a cell yields, the watchdog budget every
+//! cell runs under, and the geomean speedup helpers. Cells themselves run
+//! in [`crate::sweep`], on the session's one pool.
 
-use crate::fault::{CellFailure, CellOutcome};
-use constable::IdealOracle;
-use sim_core::{Core, CoreConfig, SimResult, SimScratch};
-use sim_workload::{Category, WorkloadSpec};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use sim_core::SimResult;
+use sim_workload::Category;
 
 /// Forward-progress watchdog budget the harness runs every cell under: a
 /// cell in which no thread retires anything for this many cycles aborts
@@ -49,164 +42,6 @@ impl RunOutcome {
     pub fn ipc(&self) -> f64 {
         self.result.ipc()
     }
-}
-
-/// Generic work-stealing drive loop: `work(i, scratch)` is invoked for every
-/// index in `0..jobs`, on whichever worker steals it first, and results are
-/// collected in index order.
-fn drive<T, F>(jobs: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, SimScratch) -> (T, SimScratch) + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(jobs.max(1));
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(|| {
-                // One scratch per worker, reused across every run it steals.
-                let mut scratch = SimScratch::new();
-                let tx = tx;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        break;
-                    }
-                    let (out, s) = work(i, scratch);
-                    scratch = s;
-                    tx.send((i, out)).expect("collector outlives workers");
-                }
-            });
-        }
-        drop(tx);
-        let mut results: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-        for (i, out) in rx {
-            results[i] = Some(out);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every job produced a result"))
-            .collect()
-    })
-}
-
-/// [`drive`] for jobs that don't run a simulator core (no scratch needed),
-/// e.g. functional-analysis sweeps.
-pub(crate) fn drive_plain<T, F>(jobs: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    drive(jobs, |i, scratch| (work(i), scratch))
-}
-
-/// Runs `specs` under the configuration produced by `mk` (which may use the
-/// workload's global-stable oracle), in parallel across CPU cores. Each
-/// cell verifies independently: a failing cell yields its [`CellFailure`]
-/// bundle while the rest of the suite still completes.
-pub fn run_suite<F>(
-    specs: &[WorkloadSpec],
-    n: RunLength,
-    with_oracle: bool,
-    mk: F,
-) -> Vec<CellOutcome>
-where
-    F: Fn(&WorkloadSpec, IdealOracle) -> CoreConfig + Sync,
-{
-    drive(specs.len(), |i, scratch| {
-        run_one_with_scratch(&specs[i], n, with_oracle, &mk, scratch)
-    })
-}
-
-/// Runs a single workload under `mk`'s configuration.
-pub fn run_one<F>(spec: &WorkloadSpec, n: RunLength, with_oracle: bool, mk: &F) -> CellOutcome
-where
-    F: Fn(&WorkloadSpec, IdealOracle) -> CoreConfig,
-{
-    run_one_with_scratch(spec, n, with_oracle, mk, SimScratch::new()).0
-}
-
-/// [`run_one`] with a caller-provided scratch, returned after the run so a
-/// worker loop can reuse its allocations. The cell runs under the
-/// [`WATCHDOG_BUDGET`] forward-progress watchdog and is verified with
-/// [`SimResult::verify`]; any failure comes back as a [`CellFailure`]
-/// keyed by the *logical* config fingerprint (pre-watchdog).
-pub fn run_one_with_scratch<F>(
-    spec: &WorkloadSpec,
-    n: RunLength,
-    with_oracle: bool,
-    mk: &F,
-    scratch: SimScratch,
-) -> (CellOutcome, SimScratch)
-where
-    F: Fn(&WorkloadSpec, IdealOracle) -> CoreConfig,
-{
-    let program = spec.build();
-    let oracle = if with_oracle {
-        let report = load_inspector::analyze(&program, n.0);
-        IdealOracle::new(report.stable_pcs.iter().copied())
-    } else {
-        IdealOracle::default()
-    };
-    let mut cfg = mk(spec, oracle);
-    let fingerprint = cfg.fingerprint();
-    cfg.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
-    let mut core = Core::new_multi_with_scratch(vec![&program], cfg, scratch);
-    let result = core.run(n.0);
-    let scratch = core.into_scratch();
-    let cell = match result.verify() {
-        Ok(()) => Ok(RunOutcome {
-            workload: spec.name.clone(),
-            category: spec.category,
-            result,
-        }),
-        Err(e) => Err(CellFailure::from_error(
-            &spec.name,
-            fingerprint,
-            n,
-            &e,
-            false,
-        )),
-    };
-    (cell, scratch)
-}
-
-/// Runs an SMT2 pairing: each workload paired with one from a different
-/// point of the suite (i ↔ i + len/2), both threads simulated together.
-/// Verified per cell, like [`run_suite`].
-pub fn run_suite_smt2<F>(specs: &[WorkloadSpec], n: RunLength, mk: F) -> Vec<CellOutcome>
-where
-    F: Fn(&WorkloadSpec) -> CoreConfig + Sync,
-{
-    // Pairs are index pairs into `specs` — no owned WorkloadSpec clones.
-    let half = specs.len() / 2;
-    let pairs: Vec<(usize, usize)> = (0..half).map(|i| (i, i + half)).collect();
-    drive(pairs.len(), |i, scratch| {
-        let (a, b) = (&specs[pairs[i].0], &specs[pairs[i].1]);
-        let pa = a.build();
-        let pb = b.build();
-        let mut cfg = mk(a);
-        let fingerprint = cfg.fingerprint();
-        cfg.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
-        let mut core = Core::new_multi_with_scratch(vec![&pa, &pb], cfg, scratch);
-        let result = core.run(n.0 / 2);
-        let scratch = core.into_scratch();
-        let name = format!("{}+{}", a.name, b.name);
-        let cell = match result.verify() {
-            Ok(()) => Ok(RunOutcome {
-                workload: name,
-                category: a.category,
-                result,
-            }),
-            Err(e) => Err(CellFailure::from_error(&name, fingerprint, n, &e, false)),
-        };
-        (cell, scratch)
-    })
 }
 
 /// Geomean speedup of `opt` over `base`, matching runs by workload name.

@@ -30,16 +30,21 @@
 //!   workers cross config boundaries without ever hitting a barrier, and
 //!   scratch allocations reach steady state across the whole sweep.
 //!
-//! [`SweepSession::uncached`] builds a session that bypasses every cache
-//! and calls the direct [`runner::run_suite`] path instead — the reference
-//! the equivalence tests (and the `bench/sweep` harness) compare against:
-//! memoized output must be byte-identical.
+//! [`SweepSession::uncached`] builds a session with no memo, no dedupe and
+//! no store: every cell it is asked for runs through the same
+//! [`run_cell`] on the same kind of pool, building its programs inside its
+//! job. It is the reference the equivalence tests (and the `bench/sweep`
+//! harness) compare against: memoized output must be byte-identical.
+//!
+//! Every counter a figure reads, the Constable engine's included, comes
+//! back inside the cell's verified [`sim_core::SimResult`]; no figure
+//! builds a core of its own.
 
 use crate::chaos::{ChaosFault, ChaosPlan};
 use crate::configs::MachineKind;
 use crate::fault::{CellFailure, CellOutcome};
 use crate::persist;
-use crate::runner::{self, RunLength, RunOutcome, WATCHDOG_BUDGET};
+use crate::runner::{RunLength, RunOutcome, WATCHDOG_BUDGET};
 use constable::IdealOracle;
 use load_inspector::LoadReport;
 use result_store::{GetOutcome, ResultStore, StoreDefectKind, StoreKey, StoreStats};
@@ -211,9 +216,8 @@ impl Drop for SweepPool {
     }
 }
 
-/// Memoization state + pool of a cached session.
+/// Memoization state of a cached session.
 struct SweepCache {
-    pool: SweepPool,
     /// Workload index → shared (plain) program build. APX builds are
     /// never cached: they exist only inside their report's job.
     programs: Mutex<HashMap<usize, Arc<Program>>>,
@@ -226,12 +230,14 @@ struct SweepCache {
     outcomes: Mutex<HashMap<CellKey, CellOutcome>>,
 }
 
-/// One figure-sweep invocation: the workload suite, the run length, and —
-/// unless built [`uncached`](SweepSession::uncached) — the caches and the
-/// persistent pool shared by every figure of the invocation.
+/// One figure-sweep invocation: the workload suite, the run length, the
+/// persistent pool every cell, build and analysis runs on, and — unless
+/// built [`uncached`](SweepSession::uncached) — the caches shared by every
+/// figure of the invocation.
 pub struct SweepSession<'s> {
     specs: &'s [WorkloadSpec],
     n: RunLength,
+    pool: SweepPool,
     cache: Option<SweepCache>,
     /// Deterministic fault injection schedule (chaos mode), if enabled.
     chaos: Option<ChaosPlan>,
@@ -253,8 +259,8 @@ impl<'s> SweepSession<'s> {
         SweepSession {
             specs,
             n,
+            pool: SweepPool::new(),
             cache: Some(SweepCache {
-                pool: SweepPool::new(),
                 programs: Mutex::new(HashMap::new()),
                 reports: Mutex::new(HashMap::new()),
                 outcomes: Mutex::new(HashMap::new()),
@@ -265,14 +271,15 @@ impl<'s> SweepSession<'s> {
         }
     }
 
-    /// A session with every cache disabled: suites run through the direct
-    /// [`runner::run_suite`] path (per-run builds, per-run analyses, scoped
-    /// threads), exactly as the pre-sweep harness did. Used as the
+    /// A session with every cache disabled: each cell asked for runs
+    /// through [`run_cell`] on the pool, with its programs built inside its
+    /// job, and nothing is memoized, deduplicated or stored. Used as the
     /// byte-identical reference in tests and benchmarks.
     pub fn uncached(specs: &'s [WorkloadSpec], n: RunLength) -> Self {
         SweepSession {
             specs,
             n,
+            pool: SweepPool::new(),
             cache: None,
             chaos: None,
             store: Arc::new(Mutex::new(None)),
@@ -280,30 +287,18 @@ impl<'s> SweepSession<'s> {
         }
     }
 
-    /// Enables deterministic chaos injection on this session's pooled
-    /// cells. Cached sessions only — the uncached reference path stays a
-    /// faithful replay of the pre-sweep harness.
+    /// Enables deterministic chaos injection on this session's cells.
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
-        assert!(
-            self.cache.is_some(),
-            "chaos mode requires the cached (pooled) session"
-        );
         self.chaos = Some(plan);
         self
     }
 
-    /// The chaos plan, if this session injects faults.
-    pub fn chaos(&self) -> Option<ChaosPlan> {
-        self.chaos
-    }
-
     /// Attaches a persistent result store. Cached sessions only — the
-    /// uncached reference path stays a faithful replay of the pre-sweep
-    /// harness.
+    /// uncached reference never reads or writes a store.
     pub fn with_store(self, store: ResultStore) -> Self {
         assert!(
             self.cache.is_some(),
-            "the result store requires the cached (pooled) session"
+            "the result store requires the cached session"
         );
         *self.store.lock().expect("store lock") = Some(store);
         self
@@ -397,15 +392,6 @@ impl<'s> SweepSession<'s> {
         }
     }
 
-    /// Records every `Err` of a freshly computed cell list.
-    fn record_cell_failures(&self, cells: &[CellOutcome]) {
-        for cell in cells {
-            if let Err(f) = cell {
-                self.record_failure(f);
-            }
-        }
-    }
-
     /// The workload suite this session sweeps.
     pub fn specs(&self) -> &'s [WorkloadSpec] {
         self.specs
@@ -414,11 +400,6 @@ impl<'s> SweepSession<'s> {
     /// Retired instructions per thread per run.
     pub fn run_length(&self) -> RunLength {
         self.n
-    }
-
-    /// Whether this session memoizes (false for the reference mode).
-    pub fn is_cached(&self) -> bool {
-        self.cache.is_some()
     }
 
     // ------------------------------------------------------------ programs
@@ -463,7 +444,7 @@ impl<'s> SweepSession<'s> {
                 job
             })
             .collect();
-        let built = cache.pool.run_batch(jobs);
+        let built = self.pool.run_batch(jobs);
         let mut map = cache.programs.lock().expect("programs lock");
         for (&i, p) in missing.iter().zip(built) {
             map.entry(i).or_insert(p);
@@ -483,17 +464,40 @@ impl<'s> SweepSession<'s> {
         self.report_inner(i, true)
     }
 
-    /// A job that analyses workload `i`. The plain build comes from the
-    /// shared program cache; the APX build is made, analysed and dropped
-    /// inside the job, because its report is the only thing that reads it.
+    /// Workload `i`'s program as a loader a pool job calls. A cached
+    /// session's plain build comes from the shared program cache; an APX
+    /// build, or any build of an uncached session, is made inside the job
+    /// and dropped with it.
+    fn program_loader(
+        &self,
+        i: usize,
+        apx: bool,
+    ) -> impl FnOnce() -> Arc<Program> + Send + 'static {
+        let shared = (!apx && self.cache.is_some()).then(|| self.program(i));
+        let mut spec = self.specs[i].clone();
+        spec.apx |= apx;
+        move || shared.unwrap_or_else(|| spec.build_arc())
+    }
+
+    /// A job that analyses workload `i` (see
+    /// [`program_loader`](SweepSession::program_loader) for its build).
     fn analysis_job(&self, i: usize, apx: bool) -> impl FnOnce() -> LoadReport + Send + 'static {
         let n = self.n.0;
-        let plain = (!apx).then(|| self.program(i));
-        let spec = self.specs[i].clone();
-        move || {
-            let p = plain.unwrap_or_else(|| spec.with_apx(true).build_arc());
-            load_inspector::analyze(&p, n)
-        }
+        let load = self.program_loader(i, apx);
+        move || load_inspector::analyze(&load(), n)
+    }
+
+    /// Analyses workloads `idx` as one flat pool batch.
+    fn analyze_on_pool(&self, idx: &[usize], apx: bool) -> Vec<Arc<LoadReport>> {
+        let jobs: Vec<BatchJob<Arc<LoadReport>>> = idx
+            .iter()
+            .map(|&i| {
+                let analyze = self.analysis_job(i, apx);
+                let job: BatchJob<Arc<LoadReport>> = Box::new(move |_| Arc::new(analyze()));
+                job
+            })
+            .collect();
+        self.pool.run_batch(jobs)
     }
 
     fn report_inner(&self, i: usize, apx: bool) -> Arc<LoadReport> {
@@ -527,12 +531,9 @@ impl<'s> SweepSession<'s> {
 
     fn reports_inner(&self, apx: bool) -> Vec<Arc<LoadReport>> {
         let Some(cache) = &self.cache else {
-            // Direct path: per-call builds and analyses, scoped threads —
-            // what fig3 did before the session existed.
-            return runner::drive_plain(
-                self.specs.len(),
-                |i| Arc::new(self.analysis_job(i, apx)()),
-            );
+            // Uncached: every analysis reruns on the pool, nothing is kept.
+            let all: Vec<usize> = (0..self.specs.len()).collect();
+            return self.analyze_on_pool(&all, apx);
         };
         if !apx {
             self.ensure_programs();
@@ -544,15 +545,7 @@ impl<'s> SweepSession<'s> {
                 .collect()
         };
         if !missing.is_empty() {
-            let jobs: Vec<BatchJob<Arc<LoadReport>>> = missing
-                .iter()
-                .map(|&i| {
-                    let analyze = self.analysis_job(i, apx);
-                    let job: BatchJob<Arc<LoadReport>> = Box::new(move |_| Arc::new(analyze()));
-                    job
-                })
-                .collect();
-            let built = cache.pool.run_batch(jobs);
+            let built = self.analyze_on_pool(&missing, apx);
             let mut map = cache.reports.lock().expect("reports lock");
             for (&i, r) in missing.iter().zip(built) {
                 map.entry((i, apx, self.n.0)).or_insert(r);
@@ -576,13 +569,6 @@ impl<'s> SweepSession<'s> {
     /// surface behind [`suite`](SweepSession::suite), for callers (tests,
     /// forensics) that want failing and healthy cells side by side.
     pub fn suite_cells(&self, kind: MachineKind) -> Vec<CellOutcome> {
-        if self.cache.is_none() {
-            let cells = runner::run_suite(self.specs, self.n, kind.needs_oracle(), |_, oracle| {
-                kind.config(oracle)
-            });
-            self.record_cell_failures(&cells);
-            return cells;
-        }
         let sets = vec![self.cells_for(kind.needs_oracle(), |_, oracle| kind.config(oracle))];
         self.run_cells(sets).pop().expect("one set")
     }
@@ -591,19 +577,6 @@ impl<'s> SweepSession<'s> {
     /// (workload × config) cell across *all* kinds becomes one flat job
     /// list on the pool, so workers never idle at a config boundary.
     pub fn suites(&self, kinds: &[MachineKind]) -> Result<Vec<Vec<RunOutcome>>, CellFailure> {
-        if self.cache.is_none() {
-            return kinds
-                .iter()
-                .map(|&k| {
-                    let cells =
-                        runner::run_suite(self.specs, self.n, k.needs_oracle(), |_, oracle| {
-                            k.config(oracle)
-                        });
-                    self.record_cell_failures(&cells);
-                    cells.into_iter().collect()
-                })
-                .collect();
-        }
         let sets: Vec<Vec<Cell>> = kinds
             .iter()
             .map(|&k| self.cells_for(k.needs_oracle(), |_, oracle| k.config(oracle)))
@@ -621,11 +594,6 @@ impl<'s> SweepSession<'s> {
     where
         F: Fn(&WorkloadSpec, IdealOracle) -> CoreConfig + Sync,
     {
-        if self.cache.is_none() {
-            let cells = runner::run_suite(self.specs, self.n, with_oracle, mk);
-            self.record_cell_failures(&cells);
-            return cells.into_iter().collect();
-        }
         let sets = vec![self.cells_for(with_oracle, mk)];
         self.run_cells(sets)
             .pop()
@@ -644,16 +612,6 @@ impl<'s> SweepSession<'s> {
         with_oracle: bool,
         mks: &[&MkOracleConfig<'_>],
     ) -> Result<Vec<Vec<RunOutcome>>, CellFailure> {
-        if self.cache.is_none() {
-            return mks
-                .iter()
-                .map(|mk| {
-                    let cells = runner::run_suite(self.specs, self.n, with_oracle, |s, o| mk(s, o));
-                    self.record_cell_failures(&cells);
-                    cells.into_iter().collect()
-                })
-                .collect();
-        }
         let sets: Vec<Vec<Cell>> = mks
             .iter()
             .map(|mk| self.cells_for(with_oracle, |s, o| mk(s, o)))
@@ -686,13 +644,14 @@ impl<'s> SweepSession<'s> {
             .collect()
     }
 
-    /// The memoizing core behind every cached suite, grid and SMT2
-    /// pairing: runs every cell not already in the outcome memo as one
+    /// The core behind every suite, grid and SMT2 pairing: runs each
+    /// cell not already in the outcome memo through [`run_cell`] as one
     /// flat *guarded* pool batch (a panicking cell quarantines instead of
     /// poisoning the batch), then assembles each set's results in order.
     /// Missing cells are deduplicated across sets (two figures — or two
     /// kinds of one figure — asking for the same cell share one run) and
-    /// answered from the store before any pool time is spent.
+    /// answered from the store before any pool time is spent. An uncached
+    /// session skips all three: every cell of every set runs.
     ///
     /// With a store attached, each job persists its own cell right after
     /// it verifies, so the store holds only verified-clean outcomes and a
@@ -701,7 +660,19 @@ impl<'s> SweepSession<'s> {
     /// order; nothing depends on that order, since each record stands
     /// alone.
     fn run_cells(&self, sets: Vec<Vec<Cell>>) -> Vec<Vec<CellOutcome>> {
-        let cache = self.cache.as_ref().expect("cached mode only");
+        let Some(cache) = &self.cache else {
+            let lens: Vec<usize> = sets.iter().map(Vec::len).collect();
+            let cells = sets
+                .into_iter()
+                .flatten()
+                .map(|(workloads, cfg)| ((workloads, cfg.fingerprint()), cfg, None))
+                .collect();
+            let mut outcomes = self.run_on_pool(cells).into_iter().map(|(_, cell)| cell);
+            return lens
+                .into_iter()
+                .map(|len| outcomes.by_ref().take(len).collect())
+                .collect();
+        };
         self.ensure_programs();
         let keyed: Vec<Vec<CellKey>> = sets
             .iter()
@@ -749,33 +720,63 @@ impl<'s> SweepSession<'s> {
             }
         }
         if !missing.is_empty() {
-            let n = self.n;
-            let jobs: Vec<BatchJob<CellOutcome>> = missing
-                .iter()
-                .map(|((workloads, fp), cfg, store_key)| {
-                    let fp = *fp;
-                    let programs: Vec<Arc<Program>> =
-                        workloads.iter().map(|&i| self.program(i)).collect();
-                    let name = self.cell_name(workloads);
-                    let category = self.specs[workloads[0]].category;
-                    let fault = self.chaos.and_then(|c| c.fault_for(&name, fp));
-                    let cfg = cfg.clone();
-                    let store_key = store_key.clone();
-                    let store = Arc::clone(&self.store);
-                    let job: BatchJob<CellOutcome> = Box::new(move |scratch| {
-                        let programs: Vec<&Program> = programs.iter().map(Arc::as_ref).collect();
-                        let cell = run_cell(&programs, &name, category, cfg, n, fp, fault, scratch);
-                        if let (Ok(run), Some(key)) = (&cell, &store_key) {
-                            store_put(&store, key, run);
-                        }
-                        cell
-                    });
-                    job
-                })
-                .collect();
-            let outcomes = cache.pool.run_batch_guarded(jobs);
+            let outcomes = self.run_on_pool(missing);
             let mut done = cache.outcomes.lock().expect("outcomes lock");
-            for (((workloads, fp), _, _), outcome) in missing.into_iter().zip(outcomes) {
+            for (key, cell) in outcomes {
+                done.entry(key).or_insert(cell);
+            }
+        }
+        let done = cache.outcomes.lock().expect("outcomes lock");
+        keyed
+            .iter()
+            .map(|keys| {
+                keys.iter()
+                    .map(|key| done.get(key).expect("just computed").clone())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs `cells` through [`run_cell`] as one guarded pool batch and
+    /// files every failure in the registry. A cell carrying a store key is
+    /// persisted by its own job the moment it verifies.
+    fn run_on_pool(
+        &self,
+        cells: Vec<(CellKey, CoreConfig, Option<StoreKey>)>,
+    ) -> Vec<(CellKey, CellOutcome)> {
+        let n = self.n;
+        let jobs: Vec<BatchJob<CellOutcome>> = cells
+            .iter()
+            .map(|((workloads, fp), cfg, store_key)| {
+                let fp = *fp;
+                let loaders: Vec<_> = workloads
+                    .iter()
+                    .map(|&i| self.program_loader(i, false))
+                    .collect();
+                let name = self.cell_name(workloads);
+                let category = self.specs[workloads[0]].category;
+                let fault = self.chaos.and_then(|c| c.fault_for(&name, fp));
+                let cfg = cfg.clone();
+                let store_key = store_key.clone();
+                let store = Arc::clone(&self.store);
+                let job: BatchJob<CellOutcome> = Box::new(move |scratch| {
+                    let programs: Vec<Arc<Program>> =
+                        loaders.into_iter().map(|load| load()).collect();
+                    let programs: Vec<&Program> = programs.iter().map(Arc::as_ref).collect();
+                    let cell = run_cell(&programs, &name, category, cfg, n, fp, fault, scratch);
+                    if let (Ok(run), Some(key)) = (&cell, &store_key) {
+                        store_put(&store, key, run);
+                    }
+                    cell
+                });
+                job
+            })
+            .collect();
+        let outcomes = self.pool.run_batch_guarded(jobs);
+        cells
+            .into_iter()
+            .zip(outcomes)
+            .map(|(((workloads, fp), _, _), outcome)| {
                 let cell = outcome.unwrap_or_else(|payload| {
                     // The job panicked on its worker: wrap the payload in
                     // a quarantine bundle, re-asking the chaos plan whether
@@ -791,16 +792,7 @@ impl<'s> SweepSession<'s> {
                 if let Err(f) = &cell {
                     self.record_failure(f);
                 }
-                done.entry((workloads, fp)).or_insert(cell);
-            }
-        }
-        let done = cache.outcomes.lock().expect("outcomes lock");
-        keyed
-            .iter()
-            .map(|keys| {
-                keys.iter()
-                    .map(|key| done.get(key).expect("just computed").clone())
-                    .collect()
+                ((workloads, fp), cell)
             })
             .collect()
     }
@@ -820,36 +812,16 @@ impl<'s> SweepSession<'s> {
             .join("+")
     }
 
-    /// Runs the SMT2 pairing (workload `i` co-scheduled with `i + half`),
-    /// memoized by pair and config fingerprint. Quarantined per pair, like
-    /// the single-thread suites.
-    pub fn suite_smt2<F>(&self, mk: F) -> Result<Vec<RunOutcome>, CellFailure>
-    where
-        F: Fn(&WorkloadSpec) -> CoreConfig + Sync,
-    {
-        self.suite_smt2_grid(&[&mk])
-            .map(|mut v| v.pop().expect("one maker in, one out"))
-    }
-
-    /// [`suite_smt2`](SweepSession::suite_smt2) over several config makers
-    /// at once (Fig 14's four machine pairings): every missing
-    /// (pair × maker) cell reaches the pool as one submission. Results are
-    /// per maker, in maker order — identical to calling `suite_smt2` once
-    /// per maker.
+    /// Runs the SMT2 pairing (workload `i` co-scheduled with `i + half`)
+    /// under several config makers at once (Fig 14's machine pairings),
+    /// memoized by pair and config fingerprint and quarantined per pair,
+    /// like the single-thread suites: every missing (pair × maker) cell
+    /// reaches the pool as one submission. Results are per maker, in maker
+    /// order.
     pub fn suite_smt2_grid(
         &self,
         mks: &[&MkPairConfig<'_>],
     ) -> Result<Vec<Vec<RunOutcome>>, CellFailure> {
-        if self.cache.is_none() {
-            return mks
-                .iter()
-                .map(|mk| {
-                    let cells = runner::run_suite_smt2(self.specs, self.n, |s| mk(s));
-                    self.record_cell_failures(&cells);
-                    cells.into_iter().collect()
-                })
-                .collect();
-        }
         let half = self.specs.len() / 2;
         let sets: Vec<Vec<Cell>> = mks
             .iter()
@@ -863,26 +835,6 @@ impl<'s> SweepSession<'s> {
             .into_iter()
             .map(|cells| cells.into_iter().collect())
             .collect()
-    }
-
-    // --------------------------------------------------------- generic jobs
-
-    /// Runs arbitrary figure-specific jobs (e.g. the Fig 17 loss-attribution
-    /// or the xPRF occupancy instrumentation) on the session pool with
-    /// worker-scratch reuse; results return in submission order. These are
-    /// not memoized — they exist so instrumented loops share the pool and
-    /// its scratch instead of building fresh cores sequentially.
-    pub fn run_batch<T: Send + 'static>(&self, jobs: Vec<BatchJob<T>>) -> Vec<T> {
-        match &self.cache {
-            Some(cache) => cache.pool.run_batch(jobs),
-            None => jobs
-                .into_iter()
-                .map(|job| {
-                    let mut scratch = SimScratch::new();
-                    job(&mut scratch)
-                })
-                .collect(),
-        }
     }
 }
 
@@ -1020,7 +972,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_suite_matches_direct_run_suite() {
+    fn cached_suite_matches_uncached_session() {
         let specs = sim_workload::suite_subset(2);
         let n = RunLength(4_000);
         let cached = SweepSession::new(&specs, n);
@@ -1032,7 +984,7 @@ mod tests {
                 assert_eq!(x.workload, y.workload);
                 assert_eq!(
                     x.result.stats, y.result.stats,
-                    "{}: memoized run diverged from run_suite under {:?}",
+                    "{}: memoized run diverged from the uncached session under {:?}",
                     x.workload, kind
                 );
             }

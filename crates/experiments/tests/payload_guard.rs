@@ -21,8 +21,11 @@ use sim_mem::TraceDigest;
 /// single-thread digest, SMT2 length, SMT2 digest).
 /// NEVER edit an existing row for a layout change — bump the version and
 /// add a new row.
-const PINS: &[(u8, usize, u64, usize, u64)] =
-    &[(1, 499, 0xbb04_7718_7f23_a5e7, 520, 0x6f07_a29e_0bf3_3a46)];
+const PINS: &[(u8, usize, u64, usize, u64)] = &[
+    (1, 499, 0xbb04_7718_7f23_a5e7, 520, 0x6f07_a29e_0bf3_3a46),
+    // v2: the 13 Constable engine counters (`CoreStats::constable`).
+    (2, 603, 0x1646_6d82_792e_44b9, 624, 0x758c_8771_30ae_7c19),
+];
 
 /// Runs one quick cell of `names` (one workload, or an SMT2 pair) on the
 /// Constable machine, exactly as the sweep would store it.

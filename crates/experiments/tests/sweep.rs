@@ -1,6 +1,8 @@
 //! Sweep-engine correctness: a memoized [`SweepSession`] must produce
-//! figure text **byte-identical** to the direct uncached `run_suite` path,
-//! no matter how many figures share (and therefore reuse) its caches.
+//! figure text **byte-identical** to an uncached session, which runs every
+//! cell it is asked for through the same cell runner with no memo, no
+//! dedupe and no store — no matter how many figures share (and therefore
+//! reuse) the memoized session's caches.
 
 use experiments::{run_figure, MachineKind, MkOracleConfig, RunLength, SweepSession};
 
@@ -18,7 +20,7 @@ fn assert_byte_identical(ids: &[&str]) {
         let b = run_figure(id, &direct);
         assert_eq!(
             a, b,
-            "{id}: memoized sweep output diverged from the uncached run_suite path"
+            "{id}: memoized sweep output diverged from the uncached session"
         );
     }
 }
@@ -52,8 +54,9 @@ fn warm_session_rerender_is_idempotent() {
     assert_eq!(first, second);
 }
 
-/// The instrumented figures (pool-routed satellite paths: fig17's loss
-/// attribution, the xPRF occupancy study) must match the reference too.
+/// The figures that read the Constable engine's counters out of each
+/// cell's result (fig17's loss attribution, the xPRF occupancy study)
+/// must match the reference too.
 #[test]
 fn instrumented_figures_are_byte_identical_to_uncached() {
     assert_byte_identical(&["fig17", "xprf"]);

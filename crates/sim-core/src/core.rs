@@ -268,6 +268,8 @@ impl SimResult {
     /// the trace-oracle golden rows. The SLD updates-per-cycle histogram
     /// is folded shape-first: it is recorded per rename cycle, so it is
     /// sensitive to the idle fast-forward in a way no scalar counter is.
+    /// `arm_guard_blocked` and the engine's own `constable` counters stay
+    /// out, so adding them moved no committed digest.
     pub fn stats_digest(&self) -> u64 {
         let s = &self.stats;
         let hist = &s.sld_updates_per_cycle;
@@ -632,8 +634,9 @@ impl<'p> Core<'p> {
         self.seal_result(hit_guard, watchdog)
     }
 
-    /// Folds the memory-hierarchy and Constable counters into the stats
-    /// and builds the run's [`SimResult`].
+    /// Folds the memory-hierarchy and Constable counters (the derived
+    /// per-unit counts and the engine's own [`constable::ConstableStats`])
+    /// into the stats and builds the run's [`SimResult`].
     fn seal_result(
         &mut self,
         hit_cycle_guard: bool,
@@ -655,6 +658,7 @@ impl<'p> Core<'p> {
                 cs.resets_reg_write + cs.resets_store + cs.resets_snoop + cs.armed;
             self.stats.amt_probes = cs.resets_store + cs.resets_snoop + cs.armed;
             self.stats.cv_pins = cs.cv_pins_requested;
+            self.stats.constable = cs.clone();
         }
         SimResult {
             stats: self.stats.clone(),

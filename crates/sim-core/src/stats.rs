@@ -1,5 +1,6 @@
 //! Core statistics: every counter a paper figure needs.
 
+use constable::ConstableStats;
 use sim_stats::Histogram;
 
 /// Aggregate statistics of one simulation run.
@@ -51,6 +52,9 @@ pub struct CoreStats {
     /// guard (a younger register writer or overlapping store slipped in
     /// between the load's rename and its writeback).
     pub arm_guard_blocked: u64,
+    /// The Constable engine's own counters at the end of the run (all zero
+    /// without Constable). Not folded into `SimResult::stats_digest`.
+    pub constable: ConstableStats,
 
     // Prior works (Fig 15).
     pub elar_resolved: u64,
@@ -116,6 +120,7 @@ impl Default for CoreStats {
             sld_updates_per_cycle: Histogram::new(&[1, 2, 3, 4]),
             cv_pins: 0,
             arm_guard_blocked: 0,
+            constable: ConstableStats::default(),
             elar_resolved: 0,
             rfp_address_hits: 0,
             ordering_violations: 0,

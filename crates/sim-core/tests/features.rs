@@ -1,7 +1,7 @@
 //! Feature-level pipeline tests: each optional unit and each ablation knob
 //! must run correctly and move its own counters.
 
-use constable::{ConstableConfig, IdealConfig, IdealOracle};
+use constable::{ConstableConfig, ConstableStats, IdealConfig, IdealOracle};
 use sim_core::{Core, CoreConfig};
 use sim_workload::suite_subset;
 
@@ -158,6 +158,32 @@ fn depth_scaling_never_hurts() {
         deep >= base * 0.995,
         "2x window must not slow down: {deep} vs {base}"
     );
+}
+
+/// The engine's counters come back inside the run's result, and the
+/// derived per-unit counts agree with them.
+#[test]
+fn constable_engine_counters_ride_in_the_result() {
+    let spec = &suite_subset(2)[0];
+    let program = spec.build();
+    let mut core = Core::new(&program, CoreConfig::golden_cove_like().with_constable());
+    let r = core.run(N);
+    let cs = &r.stats.constable;
+    assert_eq!(cs, core.constable().expect("Constable machine").stats());
+    assert!(cs.eliminated > 0, "Constable never eliminated");
+    assert_eq!(r.stats.sld_reads, cs.loads_renamed);
+    assert_eq!(r.stats.cv_pins, cs.cv_pins_requested);
+    assert_eq!(
+        r.stats.amt_probes,
+        cs.resets_store + cs.resets_snoop + cs.armed
+    );
+    assert_eq!(
+        r.stats.sld_writes,
+        cs.resets_reg_write + cs.resets_store + cs.resets_snoop + cs.armed
+    );
+
+    let base = run_cfg(CoreConfig::golden_cove_like());
+    assert_eq!(base.stats.constable, ConstableStats::default());
 }
 
 #[test]
