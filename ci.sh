@@ -47,27 +47,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     SHIM_OUT=crates/bench/target/criterion-shim
 
     # Fault-isolation smoke: a quick figure sweep must come back with zero
-    # quarantined cells (exit 0). Then the same sweep under deterministic
-    # chaos (seeded fault injection: worker panics, pipeline wedges, digest
-    # corruption) must still complete, report the injected cells in the
-    # quarantine table, and exit nonzero — the end-to-end self-test of the
-    # per-cell quarantine machinery.
+    # quarantined cells (exit 0). The quarantine paths themselves (panic,
+    # watchdog, golden mismatch, store defects) are covered by direct tests
+    # in crates/experiments.
     step "sweep smoke (--all, zero quarantine)"
     cargo run -q --release -p experiments -- --all --quick --subset 4 >/dev/null
-
-    step "sweep smoke (--all under chaos)"
-    if chaos_out=$(cargo run -q --release -p experiments -- --all --quick --subset 4 --chaos 42 2>/dev/null); then
-        echo "FAIL: chaos sweep exited 0 — injection or quarantine is broken" >&2
-        exit 1
-    fi
-    if ! grep -q "chaos-injected" <<<"$chaos_out"; then
-        echo "FAIL: chaos sweep quarantine table lacks injected cells" >&2
-        exit 1
-    fi
-    if ! grep -q "================ verify ================" <<<"$chaos_out"; then
-        echo "FAIL: chaos sweep did not reach the last figure (keep-going broken)" >&2
-        exit 1
-    fi
 
     # Persistent-store smoke: a cold run populates the store (exit 0), then
     # a *second process* must answer every memoizable cell from disk (zero

@@ -59,7 +59,8 @@ impl std::hash::Hash for IdealOracle {
     }
 }
 
-/// The four headroom configurations of Fig 7.
+/// The oracle-driven headroom configurations of Fig 7 (its 2× load-width
+/// bar is a plain load-port count, not an oracle mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IdealConfig {
     /// Perfect value prediction of global-stable loads; the loads still
@@ -68,8 +69,6 @@ pub enum IdealConfig {
     /// Perfect value prediction; the load executes only through address
     /// generation (data fetch eliminated).
     IdealStableLvpNoFetch,
-    /// Double the AGU + load ports over the baseline.
-    DoubleLoadWidth,
     /// Eliminate both address generation and data fetch (the full headroom).
     IdealConstable,
 }
@@ -81,7 +80,8 @@ impl IdealConfig {
         match self {
             IdealConfig::IdealStableLvp => 1,
             IdealConfig::IdealStableLvpNoFetch => 2,
-            IdealConfig::DoubleLoadWidth => 3,
+            // Code 3 belonged to the retired `DoubleLoadWidth` mode;
+            // never reuse it.
             IdealConfig::IdealConstable => 4,
         }
     }

@@ -27,7 +27,7 @@ pub struct CellFailure {
     /// otherwise).
     pub machine: String,
     /// [`sim_core::CoreConfig::fingerprint`] of the *logical* cell config
-    /// (before the harness layers watchdog/chaos knobs on top) — the memo
+    /// (before the harness layers its watchdog budget on top) — the memo
     /// key the sweep engine filed the cell under.
     pub fingerprint: u64,
     /// Stable failure class: `golden-mismatch`, `cycle-guard`, `watchdog`,
@@ -36,7 +36,8 @@ pub struct CellFailure {
     /// Full error text: the [`SimError`] display (first-divergence report,
     /// frozen watchdog snapshot, …) or the worker's panic payload.
     pub detail: String,
-    /// Whether deterministic chaos injection scheduled this failure.
+    /// Whether the storage fault planner (`--io-chaos`) caused this
+    /// failure; only store defects can carry it.
     pub injected: bool,
     /// One-line command reproducing the cell in isolation, when the
     /// fingerprint resolves to a `cell`-subcommand machine.
@@ -45,21 +46,8 @@ pub struct CellFailure {
 
 impl CellFailure {
     /// Builds the bundle for a structured simulation error.
-    pub fn from_error(
-        workload: &str,
-        fingerprint: u64,
-        n: RunLength,
-        err: &SimError,
-        injected: bool,
-    ) -> Self {
-        Self::build(
-            workload,
-            fingerprint,
-            n,
-            err.kind(),
-            err.to_string(),
-            injected,
-        )
+    pub fn from_error(workload: &str, fingerprint: u64, n: RunLength, err: &SimError) -> Self {
+        Self::build(workload, fingerprint, n, err.kind(), err.to_string(), false)
     }
 
     /// Builds the bundle for a persistent-store defect discovered while
@@ -100,14 +88,8 @@ impl CellFailure {
     }
 
     /// Builds the bundle for a job that panicked on its pool worker.
-    pub fn from_panic(
-        workload: &str,
-        fingerprint: u64,
-        n: RunLength,
-        payload: String,
-        injected: bool,
-    ) -> Self {
-        Self::build(workload, fingerprint, n, "panic", payload, injected)
+    pub fn from_panic(workload: &str, fingerprint: u64, n: RunLength, payload: String) -> Self {
+        Self::build(workload, fingerprint, n, "panic", payload, false)
     }
 
     fn build(
@@ -221,13 +203,7 @@ mod tests {
             .config(IdealOracle::default())
             .with_depth_scale(3.0)
             .fingerprint();
-        let f = CellFailure::from_panic(
-            "520.omnetpp_r.t1",
-            fp,
-            RunLength::quick(),
-            "boom".into(),
-            false,
-        );
+        let f = CellFailure::from_panic("520.omnetpp_r.t1", fp, RunLength::quick(), "boom".into());
         assert_eq!(f.kind, "panic");
         let repro = f.repro.as_deref().expect("resolvable machine");
         assert_eq!(
@@ -238,5 +214,37 @@ mod tests {
         let shown = f.to_string();
         assert!(shown.contains("depth-scale 3"), "{shown}");
         assert!(shown.contains("boom"), "{shown}");
+    }
+
+    /// A §8.5 divergence on a Constable-eliminated load is quarantined as
+    /// `golden-mismatch` with its first-divergence forensics, a repro line,
+    /// and no injected mark (only the storage fault planner sets one).
+    #[test]
+    fn golden_mismatch_bundle_carries_the_first_divergence() {
+        let fp = MachineKind::Constable
+            .config(IdealOracle::default())
+            .fingerprint();
+        let first = sim_core::GoldenMismatch {
+            thread: 0,
+            seq: 42,
+            pc: 0x400,
+            addr: 0x8000,
+            expect_addr: 0x8000,
+            value: 7,
+            expect_value: 9,
+            eliminated: true,
+            cycle: 1234,
+        };
+        let err = SimError::GoldenMismatch {
+            count: 1,
+            first: Some(first),
+        };
+        let f = CellFailure::from_error("520.omnetpp_r.t1", fp, RunLength::quick(), &err);
+        assert_eq!(f.kind, "golden-mismatch");
+        assert!(!f.injected);
+        assert!(f.detail.contains("Constable-eliminated"), "{f}");
+        let shown = f.to_string();
+        assert!(shown.contains("repro: cargo run"), "{shown}");
+        assert!(!shown.contains("chaos-injected"), "{shown}");
     }
 }

@@ -47,7 +47,6 @@
 //! asserted by `tests/sweep.rs` and measured by
 //! `cargo bench -p bench --bench sweep`.
 
-pub mod chaos;
 pub mod configs;
 pub mod fault;
 pub mod figures;
@@ -55,7 +54,6 @@ pub mod persist;
 pub mod runner;
 pub mod sweep;
 
-pub use chaos::{ChaosFault, ChaosPlan};
 pub use configs::MachineKind;
 pub use fault::{CellFailure, CellOutcome};
 pub use persist::{decode_outcome, encode_outcome, store_key, PAYLOAD_VERSION};

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments -- <figure-id> [<figure-id>...] [--quick] [--subset N]
-//! experiments -- all [--quick] [--chaos <seed>]
+//! experiments -- all [--quick] [--store-dir <path>] [--io-chaos <seed>]
 //! experiments -- cell <workload>[+<workload>] <machine-slug> [--depth-scale X] [--quick|--len N]
 //! experiments -- list
 //! ```
@@ -38,16 +38,12 @@
 //! figure), and the binary ends with a quarantine table of per-cell
 //! diagnostics bundles. Exit codes: 0 all clean, 2 quarantined cells,
 //! 3 at least one watchdog abort, 64 a malformed command line (usage on
-//! stderr). `--chaos <seed>` (or `SIM_CHAOS=<seed>`) deterministically
-//! injects worker panics, pipeline wedges, and digest corruption — the
-//! self-test of the quarantine machinery.
+//! stderr).
 //!
 //! The `cell` subcommand reruns one (workload, machine) cell in isolation
 //! with full forensics — the repro vehicle the quarantine table points at.
 
-use experiments::{
-    try_run_figure, ChaosPlan, MachineKind, RunLength, SweepSession, FIGURES, WATCHDOG_BUDGET,
-};
+use experiments::{try_run_figure, MachineKind, RunLength, SweepSession, FIGURES, WATCHDOG_BUDGET};
 use sim_core::{Core, TraceRecorder};
 
 /// Exit code of a malformed command line (BSD `EX_USAGE`), distinct from
@@ -55,7 +51,7 @@ use sim_core::{Core, TraceRecorder};
 const EX_USAGE: i32 = 64;
 
 const USAGE: &str = "usage: experiments -- <figure-id>|all [--quick] [--subset N] \
-     [--keep-going|--fail-fast] [--chaos <seed>] [--store-dir <path>] [--io-chaos <seed>]
+     [--keep-going|--fail-fast] [--store-dir <path>] [--io-chaos <seed>]
        experiments -- cell <workload>[+<workload>] <machine-slug> [--depth-scale X] \
      [--quick|--len N]
        experiments -- list";
@@ -93,9 +89,9 @@ fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str, 
 }
 
 /// Reads an env var holding a u64 seed. A set-but-unparseable value is a
-/// hard usage error, not a silently ignored request: `SIM_CHAOS=oops`
-/// running *without* chaos would report a clean sweep the caller believes
-/// was fault-injected.
+/// hard usage error, not a silently ignored request: `SIM_IO_CHAOS=oops`
+/// running *without* storage faults would report a clean sweep the caller
+/// believes was fault-injected.
 fn env_seed(var: &str) -> Option<u64> {
     let v = std::env::var(var).ok()?;
     let t = v.trim();
@@ -117,7 +113,6 @@ fn main() {
     let mut n = RunLength::full();
     let mut subset: Option<usize> = None;
     let mut keep_going: Option<bool> = None;
-    let mut chaos = env_seed("SIM_CHAOS").map(ChaosPlan::new);
     let mut store_dir: Option<String> = std::env::var("SIM_STORE").ok().filter(|s| !s.is_empty());
     let mut io_chaos: Option<u64> = env_seed("SIM_IO_CHAOS");
     let mut i = 0;
@@ -131,14 +126,6 @@ fn main() {
             }
             "--io-chaos" => io_chaos = Some(flag_value(&args, &mut i, "a u64 seed", USAGE)),
             "--subset" => subset = Some(flag_value(&args, &mut i, "a count", USAGE)),
-            "--chaos" => {
-                chaos = Some(ChaosPlan::new(flag_value(
-                    &args,
-                    &mut i,
-                    "a u64 seed",
-                    USAGE,
-                )));
-            }
             "list" => {
                 for f in FIGURES {
                     println!("{f}");
@@ -175,10 +162,6 @@ fn main() {
         None => sim_workload::suite(),
     };
     let mut session = SweepSession::new(&specs, n);
-    if let Some(plan) = chaos {
-        eprintln!("[chaos mode: seed {}]", plan.seed());
-        session = session.with_chaos(plan);
-    }
     if let Some(dir) = &store_dir {
         let plan = io_chaos.map(result_store::IoChaosPlan::new);
         if let Some(p) = &plan {

@@ -48,8 +48,8 @@ pub const PAYLOAD_VERSION: u8 = 2;
 
 /// Assembles the stable store key of one sweep cell: the specs of every
 /// hardware thread (one for single-thread cells, two for an SMT2 pairing),
-/// the *logical* machine config (before the harness layers watchdog/chaos
-/// knobs on top), and the total run length.
+/// the *logical* machine config (before the harness layers its watchdog
+/// budget on top), and the total run length.
 pub fn store_key(specs: &[&WorkloadSpec], cfg: &CoreConfig, n: RunLength) -> StoreKey {
     let mut key = StoreKey::new();
     key.push_u8(specs.len() as u8);

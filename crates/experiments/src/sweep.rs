@@ -18,8 +18,8 @@
 //!   and SMT2 cells alike. The Baseline suite is simulated exactly once no
 //!   matter how many figures ask for it; `--all` shares Constable/EVES
 //!   runs across fig11/fig12/fig13/… the same way.
-//! * **One cell runner** — every missing cell (single-thread or SMT2,
-//!   chaos-faulted or not) runs through [`run_cell`].
+//! * **One cell runner** — every missing cell (single-thread or SMT2)
+//!   runs through [`run_cell`].
 //! * **Per-cell persistence** — with a store attached, each cell's job
 //!   writes its verified result the moment it finishes, so a killed sweep
 //!   loses only the cells in flight and the rerun answers the rest from
@@ -40,7 +40,6 @@
 //! back inside the cell's verified [`sim_core::SimResult`]; no figure
 //! builds a core of its own.
 
-use crate::chaos::{ChaosFault, ChaosPlan};
 use crate::configs::MachineKind;
 use crate::fault::{CellFailure, CellOutcome};
 use crate::persist;
@@ -239,8 +238,6 @@ pub struct SweepSession<'s> {
     n: RunLength,
     pool: SweepPool,
     cache: Option<SweepCache>,
-    /// Deterministic fault injection schedule (chaos mode), if enabled.
-    chaos: Option<ChaosPlan>,
     /// Persistent on-disk result store, if attached: memoizable cells are
     /// answered from disk (after checksum + digest verification) before
     /// any pool time is spent, and freshly computed clean cells are
@@ -265,7 +262,6 @@ impl<'s> SweepSession<'s> {
                 reports: Mutex::new(HashMap::new()),
                 outcomes: Mutex::new(HashMap::new()),
             }),
-            chaos: None,
             store: Arc::new(Mutex::new(None)),
             failures: Mutex::new(Vec::new()),
         }
@@ -281,16 +277,9 @@ impl<'s> SweepSession<'s> {
             n,
             pool: SweepPool::new(),
             cache: None,
-            chaos: None,
             store: Arc::new(Mutex::new(None)),
             failures: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Enables deterministic chaos injection on this session's cells.
-    pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = Some(plan);
-        self
     }
 
     /// Attaches a persistent result store. Cached sessions only — the
@@ -565,14 +554,6 @@ impl<'s> SweepSession<'s> {
         self.suites(&[kind]).map(|mut v| v.pop().expect("one kind"))
     }
 
-    /// Per-cell results of the suite under machine `kind` — the quarantine
-    /// surface behind [`suite`](SweepSession::suite), for callers (tests,
-    /// forensics) that want failing and healthy cells side by side.
-    pub fn suite_cells(&self, kind: MachineKind) -> Vec<CellOutcome> {
-        let sets = vec![self.cells_for(kind.needs_oracle(), |_, oracle| kind.config(oracle))];
-        self.run_cells(sets).pop().expect("one set")
-    }
-
     /// Runs the suite under several machines at once: every missing
     /// (workload × config) cell across *all* kinds becomes one flat job
     /// list on the pool, so workers never idle at a config boundary.
@@ -755,7 +736,6 @@ impl<'s> SweepSession<'s> {
                     .collect();
                 let name = self.cell_name(workloads);
                 let category = self.specs[workloads[0]].category;
-                let fault = self.chaos.and_then(|c| c.fault_for(&name, fp));
                 let cfg = cfg.clone();
                 let store_key = store_key.clone();
                 let store = Arc::clone(&self.store);
@@ -763,7 +743,7 @@ impl<'s> SweepSession<'s> {
                     let programs: Vec<Arc<Program>> =
                         loaders.into_iter().map(|load| load()).collect();
                     let programs: Vec<&Program> = programs.iter().map(Arc::as_ref).collect();
-                    let cell = run_cell(&programs, &name, category, cfg, n, fp, fault, scratch);
+                    let cell = run_cell(&programs, &name, category, cfg, n, fp, scratch);
                     if let (Ok(run), Some(key)) = (&cell, &store_key) {
                         store_put(&store, key, run);
                     }
@@ -777,16 +757,14 @@ impl<'s> SweepSession<'s> {
             .into_iter()
             .zip(outcomes)
             .map(|(((workloads, fp), _, _), outcome)| {
+                // A job that panicked on its worker is wrapped in a
+                // quarantine bundle carrying the payload.
                 let cell = outcome.unwrap_or_else(|payload| {
-                    // The job panicked on its worker: wrap the payload in
-                    // a quarantine bundle, re-asking the chaos plan whether
-                    // the cell was scheduled for an injected panic.
-                    let name = self.cell_name(&workloads);
-                    let injected = self
-                        .chaos
-                        .is_some_and(|c| c.fault_for(&name, fp) == Some(ChaosFault::Panic));
                     Err(CellFailure::from_panic(
-                        &name, fp, self.n, payload, injected,
+                        &self.cell_name(&workloads),
+                        fp,
+                        self.n,
+                        payload,
                     ))
                 });
                 if let Err(f) = &cell {
@@ -856,10 +834,9 @@ fn store_put(store: &SharedStore, key: &StoreKey, outcome: &RunOutcome) {
 /// takes. `programs` holds one program per hardware thread (two for an
 /// SMT2 pair), and each thread retires `n / programs.len()` instructions.
 /// `fp` is the logical fingerprint the memo and the failure registry file
-/// the cell under, computed before the watchdog and chaos knobs applied
-/// here (harness instrumentation, not machine identity). Verification is
-/// per cell: a failing run returns its quarantine bundle.
-#[allow(clippy::too_many_arguments)]
+/// the cell under, computed before the watchdog budget applied here
+/// (harness instrumentation, not machine identity). Verification is per
+/// cell: a failing run returns its quarantine bundle.
 pub(crate) fn run_cell(
     programs: &[&Program],
     name: &str,
@@ -867,34 +844,20 @@ pub(crate) fn run_cell(
     mut cfg: CoreConfig,
     n: RunLength,
     fp: u64,
-    fault: Option<ChaosFault>,
     scratch: &mut SimScratch,
 ) -> CellOutcome {
-    if fault == Some(ChaosFault::Panic) {
-        panic!("chaos: injected worker panic ({name})");
-    }
     let per_thread = n.0 / programs.len() as u64;
     cfg.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
-    if fault == Some(ChaosFault::Stall) {
-        // Wedge the core halfway through: retirement stops, the pipeline
-        // starves, and the watchdog must abort with a frozen snapshot.
-        cfg.wedge_after_retire = Some(per_thread / 2);
-    }
     let mut core = Core::new_multi_with_scratch(programs.to_vec(), cfg, std::mem::take(scratch));
-    let mut result = core.run(per_thread);
+    let result = core.run(per_thread);
     *scratch = core.into_scratch();
-    if fault == Some(ChaosFault::CorruptDigest) {
-        // Simulated digest corruption: trip the §8.5 verification path
-        // without touching the (shared, memoized) simulation inputs.
-        result.stats.golden_mismatches += 1;
-    }
     match result.verify() {
         Ok(()) => Ok(RunOutcome {
             workload: name.to_string(),
             category,
             result,
         }),
-        Err(e) => Err(CellFailure::from_error(name, fp, n, &e, fault.is_some())),
+        Err(e) => Err(CellFailure::from_error(name, fp, n, &e)),
     }
 }
 

@@ -8,7 +8,6 @@ fn assert_usage_error(args: &[&str]) {
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
         .env_remove("SIM_STORE")
-        .env_remove("SIM_CHAOS")
         .env_remove("SIM_IO_CHAOS")
         .env_remove("RUST_BACKTRACE")
         .output()
@@ -49,6 +48,8 @@ fn unknown_option_exits_64() {
     assert_usage_error(&["fig11", "--bogus"]);
     // `--ckpt-interval` is not an option of this binary, whatever its value.
     assert_usage_error(&["fig11", "--ckpt-interval", "4096"]);
+    // Nor is `--chaos`: the one seeded fault planner is `--io-chaos`.
+    assert_usage_error(&["fig11", "--chaos", "42"]);
 }
 
 #[test]

@@ -1,22 +1,37 @@
 //! Fault isolation in the sweep engine: a panicking worker job must not
-//! take the pool (or any sibling cell) down with it, and deterministic
-//! chaos injection must quarantine exactly the planned cells while leaving
-//! every other cell byte-identical to a clean run.
+//! take the pool (or any sibling cell) down with it, and a failing cell —
+//! a worker panic or a watchdog abort — must quarantine exactly itself
+//! while every other cell stays byte-identical to a clean run.
 
 use constable::IdealOracle;
-use experiments::{sweep::BatchJob, ChaosPlan, MachineKind, RunLength, SweepPool, SweepSession};
-use sim_core::SimScratch;
+use experiments::{sweep::BatchJob, MachineKind, RunLength, SweepPool, SweepSession};
+use sim_core::{CoreConfig, SimScratch};
+use sim_workload::WorkloadSpec;
 
 const N: RunLength = RunLength(4_000);
 const SUBSET: usize = 3;
 
-/// Machines whose config (and therefore chaos fingerprint) the test can
-/// reproduce without the session's load-inspector oracle.
-const KINDS: [MachineKind; 3] = [
-    MachineKind::Baseline,
-    MachineKind::Elar,
-    MachineKind::DoubleLoadWidth,
-];
+type Maker = fn(&WorkloadSpec, IdealOracle) -> CoreConfig;
+
+/// Constable with an empty SLD: the first renamed load indexes it, so the
+/// cell panics on its pool worker in debug and release builds alike.
+fn panicking(_: &WorkloadSpec, oracle: IdealOracle) -> CoreConfig {
+    let mut cfg = MachineKind::Constable.config(oracle);
+    let engine = cfg.constable.as_mut().expect("a Constable machine");
+    engine.sld_sets = 0;
+    cfg
+}
+
+/// Baseline that stops retiring after 500 instructions: the pipeline
+/// starves and the forward-progress watchdog aborts the cell.
+fn wedged(_: &WorkloadSpec, oracle: IdealOracle) -> CoreConfig {
+    let mut cfg = MachineKind::Baseline.config(oracle);
+    cfg.wedge_after_retire = Some(500);
+    cfg
+}
+
+/// Every failing suite, with the quarantine kind each of its cells gets.
+const FAILING: [(Maker, &str); 2] = [(panicking, "panic"), (wedged, "watchdog")];
 
 #[test]
 fn guarded_batch_isolates_a_panicking_job() {
@@ -53,78 +68,51 @@ fn guarded_batch_isolates_a_panicking_job() {
     assert_eq!(pool.run_batch(again), vec![0, 10, 20, 30]);
 }
 
-/// Finds a chaos seed guaranteed (by construction, deterministically) to
-/// inject at least one fault into the `KINDS x subset` cell matrix.
-fn seed_with_injection(specs: &[sim_workload::WorkloadSpec]) -> u64 {
-    let fps: Vec<(String, u64)> = specs
-        .iter()
-        .flat_map(|s| {
-            KINDS.iter().map(move |k| {
-                (
-                    s.name.clone(),
-                    k.config(IdealOracle::default()).fingerprint(),
-                )
-            })
-        })
-        .collect();
-    (0..)
-        .find(|&seed| {
-            let plan = ChaosPlan::new(seed);
-            fps.iter().any(|(n, fp)| plan.fault_for(n, *fp).is_some())
-        })
-        .expect("some seed injects")
-}
-
 #[test]
-fn chaos_quarantines_planned_cells_and_leaves_the_rest_byte_identical() {
+fn failing_cells_quarantine_and_leave_the_rest_byte_identical() {
     let specs = sim_workload::suite_subset(SUBSET);
-    let seed = seed_with_injection(&specs);
-    let plan = ChaosPlan::new(seed);
-
     let clean = SweepSession::new(&specs, N);
-    let chaotic = SweepSession::new(&specs, N).with_chaos(plan);
+    let faulty = SweepSession::new(&specs, N);
 
-    let mut injected = 0usize;
-    for kind in KINDS {
-        let reference = clean.suite_cells(kind);
-        let cells = chaotic.suite_cells(kind);
+    for (mk, kind) in FAILING {
+        let f = faulty
+            .suite_with(false, mk)
+            .expect_err("every cell of a failing suite quarantines");
+        assert_eq!(f.kind, kind, "{f}");
+    }
+    let failures = faulty.failures();
+    assert_eq!(
+        failures.len(),
+        FAILING.len() * specs.len(),
+        "one failure per failing cell: {failures:#?}"
+    );
+    for (_, kind) in FAILING {
+        let n = failures.iter().filter(|f| f.kind == kind).count();
+        assert_eq!(n, specs.len(), "{kind} failures: {failures:#?}");
+    }
+    for f in &failures {
+        assert!(!f.injected, "{f}: a real failure marked injected");
+    }
+
+    // The pool survived its panicking jobs: healthy suites in the same
+    // session still run, bit-identical to a clean session.
+    for kind in [MachineKind::Baseline, MachineKind::Constable] {
+        let reference = clean.suite(kind).expect("clean session must not fail");
+        let cells = faulty.suite(kind).expect("healthy suite after quarantine");
         assert_eq!(reference.len(), cells.len());
         for (r, c) in reference.iter().zip(&cells) {
-            let r = r.as_ref().expect("clean session must not fail");
-            match c {
-                Ok(c) => {
-                    // A cell chaos did not touch is bit-identical to the
-                    // clean run.
-                    assert_eq!(r.workload, c.workload);
-                    assert_eq!(
-                        r.result.stats_digest(),
-                        c.result.stats_digest(),
-                        "{}: untouched cell diverged from the clean run",
-                        c.workload
-                    );
-                    assert_eq!(r.result.stats.cycles, c.result.stats.cycles);
-                    assert_eq!(r.result.retired_per_thread, c.result.retired_per_thread);
-                }
-                Err(f) => {
-                    injected += 1;
-                    assert!(f.injected, "{f}: chaos failure not marked injected");
-                    assert!(
-                        plan.fault_for(&f.workload, f.fingerprint).is_some(),
-                        "{f}: quarantined cell was never scheduled by the plan"
-                    );
-                }
-            }
+            assert_eq!(r.workload, c.workload);
+            assert_eq!(
+                r.result.stats_digest(),
+                c.result.stats_digest(),
+                "{}: healthy cell diverged from the clean run",
+                c.workload
+            );
+            assert_eq!(r.result.stats.cycles, c.result.stats.cycles);
+            assert_eq!(r.result.retired_per_thread, c.result.retired_per_thread);
         }
     }
-    assert!(
-        injected > 0,
-        "seed {seed} was chosen to inject at least once"
-    );
-    assert_eq!(
-        chaotic.failures().len(),
-        injected,
-        "failure registry disagrees with the per-cell outcomes"
-    );
+    assert_eq!(faulty.failures(), failures, "healthy suites added failures");
     assert!(
         clean.failures().is_empty(),
         "clean session recorded failures"
@@ -136,14 +124,14 @@ fn chaos_quarantines_planned_cells_and_leaves_the_rest_byte_identical() {
 #[test]
 fn quarantined_cells_are_memoized_not_retried() {
     let specs = sim_workload::suite_subset(SUBSET);
-    let seed = seed_with_injection(&specs);
-    let session = SweepSession::new(&specs, N).with_chaos(ChaosPlan::new(seed));
-    for kind in KINDS {
-        let _ = session.suite_cells(kind);
+    let session = SweepSession::new(&specs, N);
+    for (mk, _) in FAILING {
+        let _ = session.suite_with(false, mk);
     }
     let first = session.failures();
-    for kind in KINDS {
-        let _ = session.suite_cells(kind);
+    assert_eq!(first.len(), FAILING.len() * specs.len());
+    for (mk, _) in FAILING {
+        let _ = session.suite_with(false, mk);
     }
     assert_eq!(session.failures(), first, "retry grew the quarantine list");
 }

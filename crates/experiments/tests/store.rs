@@ -244,9 +244,7 @@ fn resume_sweep(store: Option<&Path>) -> Command {
     if let Some(dir) = store {
         cmd.arg("--store-dir").arg(dir);
     }
-    cmd.env_remove("SIM_STORE")
-        .env_remove("SIM_IO_CHAOS")
-        .env_remove("SIM_CHAOS");
+    cmd.env_remove("SIM_STORE").env_remove("SIM_IO_CHAOS");
     cmd
 }
 
@@ -338,7 +336,6 @@ fn concurrent_processes_share_a_store() {
         }
         cmd.env_remove("SIM_STORE")
             .env_remove("SIM_IO_CHAOS")
-            .env_remove("SIM_CHAOS")
             .output()
             .expect("binary runs")
     };

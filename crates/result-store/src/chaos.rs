@@ -1,7 +1,7 @@
 //! Seeded I/O fault injection.
 //!
-//! Mirrors the experiments-level `ChaosPlan` (the shared
-//! [`sim_mem::splitmix64`], pure function of `(seed, key hash)`) but
+//! The repo's one seeded fault planner: a pure function of
+//! `(seed, key hash)` over the shared [`sim_mem::splitmix64`] that
 //! targets the storage layer: torn object writes and payload bit flips.
 //! Faults are injected *after* the store's atomic write path has run, so
 //! the recovery path — checksum verify, then quarantine — is exercised

@@ -73,10 +73,10 @@ pub struct CoreConfig {
     /// above the longest legitimate no-retire span (a dependent DRAM-miss
     /// chain is a few thousand cycles).
     pub watchdog_no_retire: Option<u64>,
-    /// Fault-injection knob for watchdog/chaos tests: stop retiring (while
-    /// the rest of the pipeline keeps running and then starves) once this
-    /// many instructions have retired, wedging the core deterministically.
-    /// `None` always, outside chaos mode and the watchdog tests.
+    /// Test-only fault-injection knob: stop retiring (while the rest of
+    /// the pipeline keeps running and then starves) once this many
+    /// instructions have retired, wedging the core deterministically.
+    /// `None` always, outside the watchdog and quarantine tests.
     pub wedge_after_retire: Option<u64>,
     /// Event-driven scheduling shortcuts (idle-cycle fast-forward and the
     /// issue-quiescence memo), applied to single-thread and SMT2 runs

@@ -401,10 +401,6 @@ pub struct Core<'p> {
     /// Attached scheduling-trace recorder (see [`crate::trace`]); `None`
     /// (and therefore free) outside the trace-oracle tests.
     tracer: Option<TraceRecorder>,
-    /// Whether `SIM_VP_DEBUG` was set when the core was built; the
-    /// vp_wrong forensics path checks this cached bool instead of paying
-    /// an environment lookup per misprediction event.
-    vp_debug: bool,
 }
 
 // Thin alias so the field reads naturally.
@@ -504,7 +500,6 @@ impl<'p> Core<'p> {
             first_mismatch: None,
             last_retire_cycle: 0,
             tracer: None,
-            vp_debug: std::env::var_os("SIM_VP_DEBUG").is_some(),
             cfg,
         }
     }
@@ -1112,7 +1107,6 @@ impl<'p> Core<'p> {
                                 w.vp_value = acc.value;
                                 w.no_data_fetch = true;
                             }
-                            IdealConfig::DoubleLoadWidth => {}
                         }
                     }
                 }
@@ -1932,15 +1926,6 @@ impl<'p> Core<'p> {
                     }
                     if self.cfg.track_per_pc {
                         *self.stats.vp_wrong_pcs.entry(pc).or_insert(0) += 1;
-                        if self.vp_debug {
-                            let u = &self.window[tag];
-                            eprintln!(
-                                "vp_wrong pc={:#x} predicted={:#x} actual={:#x} delta={} inflight_now={}",
-                                pc, u.vp_value, u.result,
-                                u.result as i64 - u.vp_value as i64,
-                                self.inflight_loads.get(pc)
-                            );
-                        }
                     }
                     self.window[tag].value_predicted = false;
                 } else {
@@ -2079,7 +2064,7 @@ impl<'p> Core<'p> {
     // ---------------------------------------------------------------- retire
 
     fn retire_phase(&mut self) {
-        // Chaos/watchdog-test knob: stop retiring once the wedge point is
+        // Test-only watchdog knob: stop retiring once the wedge point is
         // reached — the frontend and backend keep running until they starve
         // behind the frozen ROB head, deterministically wedging the run.
         if self

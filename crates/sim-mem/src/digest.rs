@@ -103,9 +103,9 @@ impl Default for TraceDigest {
 }
 
 /// SplitMix64 finalizer: a full-avalanche, dependency-free mix of one
-/// word. The seeded fault planners (sweep chaos and storage chaos) derive
-/// every decision from it, so a schedule is a pure function of its inputs
-/// and is stable across platforms and Rust releases.
+/// word. The storage fault planner derives every decision from it, so a
+/// schedule is a pure function of its inputs and is stable across
+/// platforms and Rust releases.
 ///
 /// ```
 /// use sim_mem::splitmix64;
