@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the Constable reproduction.
 #
-#   ./ci.sh          # fmt + clippy + build + tests + bench smoke + regression gate
+#   ./ci.sh          # fmt + clippy + build + tests + perfbench type-check + smokes + bench gates
 #   ./ci.sh --fast   # skip the bench smoke and regression gate
 #   ./ci.sh --bless  # regenerate the scheduling trace-oracle golden files
 #
@@ -42,6 +42,21 @@ cargo build --release
 
 step "tests"
 cargo test -q --release
+
+# perfbench is a package of its own that imports the experiments API
+# (store_key, SweepSession, CellFailure, ...); type-check it here so a
+# change to that API fails in ci, not later in the benchmark pipeline.
+# Cargo rewrites perfbench/Cargo.lock on every build, so the lock file is
+# restored from a copy and perfbench stays byte-identical.
+step "perfbench type-check"
+lock_dir=$(mktemp -d "${TMPDIR:-/tmp}/constable-perfbench-ci.XXXXXX")
+cp perfbench/Cargo.lock "$lock_dir/Cargo.lock"
+trap 'cp "$lock_dir/Cargo.lock" perfbench/Cargo.lock; rm -rf "$lock_dir"' EXIT
+cargo check --offline --release --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench
+cp "$lock_dir/Cargo.lock" perfbench/Cargo.lock
+rm -rf "$lock_dir"
+trap - EXIT
 
 if [[ "${1:-}" != "--fast" ]]; then
     SHIM_OUT=crates/bench/target/criterion-shim

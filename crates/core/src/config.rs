@@ -9,7 +9,7 @@ use sim_isa::AddrMode;
 /// with 16-deep PC lists for the stack registers and 8-deep for the rest, a
 /// 256-entry AMT (32 sets × 8 ways, 4 load PCs per entry) indexed at
 /// cacheline granularity, a 32-entry xPRF, and CV-bit pinning enabled.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstableConfig {
     /// SLD sets × ways (512 entries in the paper).
     pub sld_sets: usize,
@@ -71,8 +71,8 @@ impl ConstableConfig {
 
     /// Appends the stable on-disk key encoding of every field to `out`
     /// (little-endian, declaration order) — part of the result-store key
-    /// format, which must survive process restarts and rebuilds, unlike
-    /// `Hash`-based fingerprints. The destructuring is deliberately
+    /// format, which identifies a sweep cell in the run memo and on disk
+    /// and must survive process restarts and rebuilds. The destructuring is deliberately
     /// exhaustive: adding a field breaks this function at compile time,
     /// forcing the new field into the encoding (and a
     /// `result_store::KEY_FORMAT_VERSION` bump, enforced by the key-format

@@ -36,9 +36,9 @@ impl IdealOracle {
         self.stable.is_empty()
     }
 
-    /// The PC set in sorted order — the canonical form used wherever the
-    /// oracle must encode identically regardless of insertion order (the
-    /// `Hash` impl below, and the result store's stable key encoding).
+    /// The PC set in sorted order — the canonical form the result store's
+    /// stable key encoding uses, so the oracle encodes identically
+    /// regardless of insertion order.
     pub fn sorted_pcs(&self) -> Vec<u64> {
         let mut pcs: Vec<u64> = self.stable.iter().copied().collect();
         pcs.sort_unstable();
@@ -46,22 +46,9 @@ impl IdealOracle {
     }
 }
 
-/// Content hash, independent of the set's internal iteration order, so two
-/// oracles built from the same PC set hash identically. Feeds
-/// `CoreConfig::fingerprint` (run-memoization keys in the sweep harness).
-impl std::hash::Hash for IdealOracle {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let pcs = self.sorted_pcs();
-        state.write_usize(pcs.len());
-        for pc in pcs {
-            state.write_u64(pc);
-        }
-    }
-}
-
 /// The oracle-driven headroom configurations of Fig 7 (its 2× load-width
 /// bar is a plain load-port count, not an oracle mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdealConfig {
     /// Perfect value prediction of global-stable loads; the loads still
     /// execute fully (address generation + data fetch) to verify.
@@ -90,21 +77,6 @@ impl IdealConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn oracle_hash_is_insertion_order_independent() {
-        use std::hash::{Hash, Hasher};
-        let h = |o: &IdealOracle| {
-            let mut s = std::collections::hash_map::DefaultHasher::new();
-            o.hash(&mut s);
-            s.finish()
-        };
-        let a = IdealOracle::new([0x400, 0x404, 0x5000]);
-        let b = IdealOracle::new([0x5000, 0x400, 0x404]);
-        assert_eq!(h(&a), h(&b));
-        let c = IdealOracle::new([0x400, 0x404]);
-        assert_ne!(h(&a), h(&c));
-    }
 
     #[test]
     fn oracle_membership() {

@@ -238,44 +238,31 @@ mod tests {
     }
 
     /// Every machine the evaluation distinguishes must map to a distinct
-    /// `CoreConfig::fingerprint` — the sweep engine memoizes runs on it, so
-    /// a collision here would silently alias two machines' results.
+    /// stable config encoding — the sweep engine memoizes runs on the store
+    /// key built from it, so a collision here would silently alias two
+    /// machines' results.
     #[test]
     fn machine_fingerprints_are_unique() {
-        let kinds = [
-            MachineKind::Baseline,
-            MachineKind::Eves,
-            MachineKind::Constable,
-            MachineKind::EvesConstable,
-            MachineKind::EvesIdealConstable,
-            MachineKind::IdealStableLvp,
-            MachineKind::IdealStableLvpNoFetch,
-            MachineKind::DoubleLoadWidth,
-            MachineKind::IdealConstable,
-            MachineKind::Elar,
-            MachineKind::Rfp,
-            MachineKind::ElarConstable,
-            MachineKind::RfpConstable,
-            MachineKind::ConstableAmtI,
-            MachineKind::ConstableFullAddrAmt,
-            MachineKind::ConstableOnly(AddrMode::PcRelative),
-            MachineKind::ConstableOnly(AddrMode::StackRelative),
-            MachineKind::ConstableOnly(AddrMode::RegRelative),
-            MachineKind::ConstableCorrectPathOnly,
-        ];
+        let encode = |c: CoreConfig| {
+            let mut out = Vec::new();
+            c.stable_encode(&mut out);
+            out
+        };
         let o = IdealOracle::new([0x400u64, 0x404]);
-        let mut fps: Vec<u64> = kinds
+        let mut encodings: Vec<Vec<u8>> = MachineKind::ALL
             .iter()
-            .map(|k| k.config(o.clone()).fingerprint())
+            .map(|k| encode(k.config(o.clone())))
             .collect();
-        fps.sort_unstable();
-        fps.dedup();
-        assert_eq!(fps.len(), kinds.len(), "machine fingerprint collision");
+        encodings.sort_unstable();
+        encodings.dedup();
+        assert_eq!(
+            encodings.len(),
+            MachineKind::ALL.len(),
+            "machine encoding collision"
+        );
         // The same machine with vs without the oracle is also distinct.
-        let with = MachineKind::Constable.config(o).fingerprint();
-        let without = MachineKind::Constable
-            .config(IdealOracle::default())
-            .fingerprint();
+        let with = encode(MachineKind::Constable.config(o));
+        let without = encode(MachineKind::Constable.config(IdealOracle::default()));
         assert_ne!(with, without);
     }
 

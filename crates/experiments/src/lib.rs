@@ -22,8 +22,9 @@
 //!
 //! All figure runners draw their simulations from one [`SweepSession`]
 //! ([`sweep`]): a per-invocation cache of `Arc<Program>` builds,
-//! `load_inspector` reports, and completed [`RunOutcome`]s keyed by
-//! [`sim_core::CoreConfig::fingerprint`], executed on a persistent
+//! `load_inspector` reports, and completed [`RunOutcome`]s keyed by each
+//! cell's stable store key ([`store_key`], the same key the on-disk result
+//! store uses), executed on a persistent
 //! work-stealing pool that takes each figure's whole (workload × config)
 //! matrix as a single flat job list. Running several figures in one
 //! invocation (`all`, or `fig11 fig12 fig13`) therefore simulates the

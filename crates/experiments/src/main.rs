@@ -20,7 +20,8 @@
 //! `--store-dir <path>` (or `SIM_STORE=<path>`) attaches a crash-safe
 //! on-disk result store: memoizable cells are answered from disk across
 //! processes, keyed by a stable versioned encoding of (workload
-//! parameters, full config, run length) and verified by checksum + stats
+//! parameters, full config, run length) — the same key the in-process
+//! memo and the quarantine table use — and verified by checksum + stats
 //! digest on every hit. Each cell is written the moment it verifies, so a
 //! killed sweep loses only the cells in flight and the rerun resumes from
 //! the rest. Store damage quarantines (with forensics) and
@@ -239,7 +240,7 @@ fn main() {
 
 /// `experiments -- cell <workload> <machine-slug> [--depth-scale X]
 /// [--quick|--len N]`: rerun one sweep cell in isolation with full
-/// forensics — config fingerprint, trace-oracle digest line, and the
+/// forensics — store key, trace-oracle digest line, and the
 /// verification outcome (first-divergence report or frozen watchdog
 /// snapshot on failure). Exit codes match the sweep: 0 clean, 2 failed,
 /// 3 watchdog abort, 64 usage error.
@@ -315,14 +316,11 @@ fn run_cell(args: &[String]) -> i32 {
     if depth != 1.0 {
         cfg = cfg.with_depth_scale(depth);
     }
-    // Fingerprint and store key both describe the *logical* cell config,
-    // before the watchdog knob below (harness instrumentation, not
-    // machine identity).
-    let fingerprint = cfg.fingerprint();
+    // The store key describes the *logical* cell config, before the
+    // watchdog knob below (harness instrumentation, not machine identity).
     let store_key = experiments::store_key(&cell_specs, &cfg, n);
     cfg.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
     println!("cell: {workload} on {} (depth-scale {depth})", kind.slug());
-    println!("config fingerprint: {fingerprint:#018x}");
     println!(
         "store key: {:#018x} (format v{}, {} bytes; object {})",
         store_key.hash(),

@@ -2,8 +2,9 @@
 //!
 //! This module is the bridge between the sweep engine and the
 //! [`result_store`] crate: it assembles the **stable store key** of a
-//! sweep cell and (de)serialises a completed [`RunOutcome`] into the
-//! store's payload bytes.
+//! sweep cell — the one identity a cell has, in the sweep's in-process
+//! memo as on disk — and (de)serialises a completed [`RunOutcome`] into
+//! the store's payload bytes.
 //!
 //! ## Key format (`result_store::KEY_FORMAT_VERSION`)
 //!
@@ -19,8 +20,7 @@
 //! exhaustive struct destructure behind it — adding a field to any struct
 //! on the key path breaks the build until the encoder (and, per the guard
 //! test in `result-store/tests/key_guard.rs`, the key-format version) is
-//! updated. The hasher-internal `CoreConfig::fingerprint` is never part
-//! of the key: it is only stable within one process.
+//! updated.
 //!
 //! ## Payload format (`PAYLOAD_VERSION`)
 //!
@@ -49,20 +49,21 @@ pub const PAYLOAD_VERSION: u8 = 2;
 /// Assembles the stable store key of one sweep cell: the specs of every
 /// hardware thread (one for single-thread cells, two for an SMT2 pairing),
 /// the *logical* machine config (before the harness layers its watchdog
-/// budget on top), and the total run length.
+/// budget on top), and the total run length. The sweep engine files each
+/// cell under this key in its run memo, its store and its failure
+/// registry.
 pub fn store_key(specs: &[&WorkloadSpec], cfg: &CoreConfig, n: RunLength) -> StoreKey {
-    let mut key = StoreKey::new();
-    key.push_u8(specs.len() as u8);
-    let mut buf = Vec::new();
+    // One buffer and one copy: the sweep builds a key for every cell it
+    // is asked for, memo hits included.
+    let mut buf = Vec::with_capacity(1024);
+    buf.push(specs.len() as u8);
     for spec in specs {
-        buf.clear();
         spec.stable_key_encode(&mut buf);
-        key.extend(&buf);
     }
-    buf.clear();
     cfg.stable_encode(&mut buf);
+    buf.extend_from_slice(&n.0.to_le_bytes());
+    let mut key = StoreKey::new();
     key.extend(&buf);
-    key.push_u64(n.0);
     key
 }
 
@@ -485,34 +486,46 @@ pub fn decode_outcome(payload: &[u8]) -> Result<RunOutcome, PayloadError> {
 mod tests {
     use super::*;
     use crate::configs::MachineKind;
+    use crate::sweep::run_cell;
     use constable::IdealOracle;
-    use sim_core::Core;
+    use sim_core::SimScratch;
     use sim_mem::splitmix64;
+    use sim_workload::Program;
 
-    /// Runs one verified cell: a single workload, or an SMT2 pair.
-    fn run_one(specs: &[&WorkloadSpec], cfg: CoreConfig, n: u64) -> RunOutcome {
-        let programs: Vec<_> = specs.iter().map(|s| s.build()).collect();
-        let mut core = Core::new_multi(programs.iter().collect(), cfg);
-        let result = core.run(n / specs.len() as u64);
-        result.verify().expect("clean run");
-        RunOutcome {
-            workload: specs
-                .iter()
-                .map(|s| s.name.as_str())
-                .collect::<Vec<_>>()
-                .join("+"),
-            category: specs[0].category,
-            result,
-        }
+    const N: RunLength = RunLength(4_000);
+
+    /// Runs one cell (a workload, or an SMT2 pair) through the sweep's
+    /// cell runner, which verifies it.
+    fn verified_cell(specs: &[&WorkloadSpec], cfg: CoreConfig) -> RunOutcome {
+        let programs: Vec<Program> = specs.iter().map(|s| s.build()).collect();
+        let programs: Vec<&Program> = programs.iter().collect();
+        let name: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        let key = store_key(specs, &cfg, N);
+        run_cell(
+            &programs,
+            &name.join("+"),
+            specs[0].category,
+            &cfg,
+            N,
+            &key,
+            &mut SimScratch::new(),
+        )
+        .expect("clean run")
     }
 
     #[test]
     fn payload_round_trips_bit_exactly() {
         let specs = sim_workload::suite_subset(2);
-        for kind in [MachineKind::Baseline, MachineKind::Constable] {
+        let single: &[&WorkloadSpec] = &[&specs[0]];
+        let smt2: &[&WorkloadSpec] = &[&specs[0], &specs[1]];
+        for (kind, cell) in [
+            (MachineKind::Baseline, single),
+            (MachineKind::Constable, single),
+            (MachineKind::Constable, smt2),
+        ] {
             let mut cfg = kind.config(IdealOracle::default());
             cfg.track_per_pc = true; // exercise the per-PC map codec
-            let outcome = run_one(&[&specs[0]], cfg, 4_000);
+            let outcome = verified_cell(cell, cfg);
             let bytes = encode_outcome(&outcome);
             let back = decode_outcome(&bytes).expect("decodes");
             assert_eq!(back.workload, outcome.workload);
@@ -540,10 +553,9 @@ mod tests {
     #[test]
     fn version_skew_and_damage_are_reported_not_panicked() {
         let specs = sim_workload::suite_subset(2);
-        let outcome = run_one(
+        let outcome = verified_cell(
             &[&specs[0]],
             MachineKind::Baseline.config(IdealOracle::default()),
-            4_000,
         );
         let mut bytes = encode_outcome(&outcome);
         bytes[0] = PAYLOAD_VERSION + 1;
@@ -564,7 +576,7 @@ mod tests {
         // panic.
         let mut cfg = MachineKind::Constable.config(IdealOracle::default());
         cfg.track_per_pc = true;
-        let smt2 = run_one(&[&specs[0], &specs[1]], cfg, 4_000);
+        let smt2 = verified_cell(&[&specs[0], &specs[1]], cfg);
         let mut rng = 0x5eed_0001_u64;
         for outcome in [&outcome, &smt2] {
             let bytes = encode_outcome(outcome);

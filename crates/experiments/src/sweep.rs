@@ -11,13 +11,17 @@
 //!   the same build. APX builds, read only by the Fig 23/24 reports, are
 //!   made inside their report's job and dropped with it.
 //! * **Report cache** — `load_inspector::analyze` runs once per
-//!   (workload, run-length); Fig 3, Fig 17, Fig 23/24, and every
-//!   oracle-carrying configuration reuse the same [`LoadReport`].
-//! * **Run memo** — completed [`RunOutcome`]s are keyed by
-//!   `(workload per thread slot, CoreConfig::fingerprint)`, single-thread
-//!   and SMT2 cells alike. The Baseline suite is simulated exactly once no
-//!   matter how many figures ask for it; `--all` shares Constable/EVES
-//!   runs across fig11/fig12/fig13/… the same way.
+//!   (workload, APX build) at the session's run length; Fig 3, Fig 17,
+//!   Fig 23/24, and every oracle-carrying configuration reuse the same
+//!   [`LoadReport`].
+//! * **Run memo** — completed [`RunOutcome`]s are keyed by the cell's
+//!   stable store key ([`persist::store_key`]: the workload in each thread
+//!   slot, the logical config, the run length), single-thread and SMT2
+//!   cells alike. It is the one identity a cell has: the dedupe, the
+//!   result store and the failure registry use it too. The Baseline suite
+//!   is simulated exactly once no matter how many figures ask for it;
+//!   `--all` shares Constable/EVES runs across fig11/fig12/fig13/… the
+//!   same way.
 //! * **One cell runner** — every missing cell (single-thread or SMT2)
 //!   runs through [`run_cell`].
 //! * **Per-cell persistence** — with a store attached, each cell's job
@@ -47,7 +51,7 @@ use crate::runner::{RunLength, RunOutcome, WATCHDOG_BUDGET};
 use constable::IdealOracle;
 use load_inspector::LoadReport;
 use result_store::{GetOutcome, ResultStore, StoreDefectKind, StoreKey, StoreStats};
-use sim_core::{Core, CoreConfig, SimScratch};
+use sim_core::{Core, CoreConfig, FastHashMap, SimScratch};
 use sim_workload::{Category, Program, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -71,12 +75,14 @@ pub type MkOracleConfig<'a> = dyn Fn(&WorkloadSpec, IdealOracle) -> CoreConfig +
 pub type MkPairConfig<'a> = dyn Fn(&WorkloadSpec) -> CoreConfig + Sync + 'a;
 
 /// A sweep cell: the suite index of the workload in each hardware-thread
-/// slot (two for an SMT2 pair) and the logical machine config.
-type Cell = (Vec<usize>, CoreConfig);
-
-/// A cell's memo identity: its thread-slot workload indices and config
-/// fingerprint.
-type CellKey = (Vec<usize>, u64);
+/// slot (two for an SMT2 pair), the logical machine config, and the stable
+/// store key built from both — the cell's identity in the memo, the
+/// dedupe, the store and the failure registry.
+struct Cell {
+    workloads: Vec<usize>,
+    cfg: CoreConfig,
+    key: StoreKey,
+}
 
 /// The session's store slot, shared (`Arc`) so pool workers can persist
 /// the cells they finish.
@@ -220,13 +226,15 @@ struct SweepCache {
     /// Workload index → shared (plain) program build. APX builds are
     /// never cached: they exist only inside their report's job.
     programs: Mutex<HashMap<usize, Arc<Program>>>,
-    /// `(workload index, apx, run length)` → load-inspector report.
-    reports: Mutex<HashMap<(usize, bool, u64), Arc<LoadReport>>>,
-    /// `(thread-slot workload indices, config fingerprint)` → completed or
-    /// quarantined run, single-thread and SMT2 alike. Failures memoize
-    /// too: a cell that died once is reported once, not retried by every
-    /// later figure that asks for it.
-    outcomes: Mutex<HashMap<CellKey, CellOutcome>>,
+    /// `(workload index, apx)` → load-inspector report at the session's
+    /// run length.
+    reports: Mutex<HashMap<(usize, bool), Arc<LoadReport>>>,
+    /// Cell store key → completed or quarantined run, single-thread and
+    /// SMT2 alike. Failures memoize too: a cell that died once is reported
+    /// once, not retried by every later figure that asks for it. Every
+    /// cell request hashes its ~700-byte key here, which `FastHashMap`
+    /// does in about half the time of the default hasher.
+    outcomes: Mutex<FastHashMap<StoreKey, CellOutcome>>,
 }
 
 /// One figure-sweep invocation: the workload suite, the run length, the
@@ -260,7 +268,7 @@ impl<'s> SweepSession<'s> {
             cache: Some(SweepCache {
                 programs: Mutex::new(HashMap::new()),
                 reports: Mutex::new(HashMap::new()),
-                outcomes: Mutex::new(HashMap::new()),
+                outcomes: Mutex::new(FastHashMap::default()),
             }),
             store: Arc::new(Mutex::new(None)),
             failures: Mutex::new(Vec::new()),
@@ -313,14 +321,9 @@ impl<'s> SweepSession<'s> {
     /// skew, digest disagreement) is quarantined inside the store, filed
     /// in the failure registry with forensics, and answered `None` so the
     /// cell recomputes.
-    fn store_lookup(
-        &self,
-        store: &mut ResultStore,
-        key: &StoreKey,
-        name: &str,
-        fp: u64,
-    ) -> Option<RunOutcome> {
-        match store.get(key) {
+    fn store_lookup(&self, store: &mut ResultStore, cell: &Cell) -> Option<RunOutcome> {
+        let name = self.cell_name(&cell.workloads);
+        let defect = match store.get(&cell.key) {
             GetOutcome::Hit {
                 payload,
                 stats_digest,
@@ -332,37 +335,30 @@ impl<'s> SweepSession<'s> {
                     }
                     // The payload passed its checksum but decodes to a
                     // different run (or workload) than the header promised.
-                    let defect = store.quarantine(
-                        key,
+                    store.quarantine(
+                        &cell.key,
                         StoreDefectKind::DigestMismatch,
                         stats_digest,
                         actual,
-                    );
-                    self.record_failure(&CellFailure::from_store_defect(&defect, name, fp, self.n));
-                    None
+                    )
                 }
-                Err(persist::PayloadError::Version { found }) => {
-                    let defect = store.quarantine(
-                        key,
-                        StoreDefectKind::VersionSkew,
-                        u64::from(persist::PAYLOAD_VERSION),
-                        u64::from(found),
-                    );
-                    self.record_failure(&CellFailure::from_store_defect(&defect, name, fp, self.n));
-                    None
-                }
+                Err(persist::PayloadError::Version { found }) => store.quarantine(
+                    &cell.key,
+                    StoreDefectKind::VersionSkew,
+                    u64::from(persist::PAYLOAD_VERSION),
+                    u64::from(found),
+                ),
                 Err(persist::PayloadError::Malformed(_)) => {
-                    let defect = store.quarantine(key, StoreDefectKind::Corrupt, 0, 0);
-                    self.record_failure(&CellFailure::from_store_defect(&defect, name, fp, self.n));
-                    None
+                    store.quarantine(&cell.key, StoreDefectKind::Corrupt, 0, 0)
                 }
             },
-            GetOutcome::Miss => None,
-            GetOutcome::Defect(defect) => {
-                self.record_failure(&CellFailure::from_store_defect(&defect, name, fp, self.n));
-                None
-            }
-        }
+            GetOutcome::Miss => return None,
+            GetOutcome::Defect(defect) => defect,
+        };
+        self.record_failure(&CellFailure::from_store_defect(
+            &defect, &name, &cell.key, &cell.cfg, self.n,
+        ));
+        None
     }
 
     /// Every cell quarantined so far, in discovery order.
@@ -370,12 +366,12 @@ impl<'s> SweepSession<'s> {
         self.failures.lock().expect("failures lock").clone()
     }
 
-    /// Records a quarantined cell, once per (workload, fingerprint).
+    /// Records a quarantined cell, once per (workload, store key hash).
     fn record_failure(&self, f: &CellFailure) {
         let mut reg = self.failures.lock().expect("failures lock");
         if !reg
             .iter()
-            .any(|g| g.workload == f.workload && g.fingerprint == f.fingerprint)
+            .any(|g| g.workload == f.workload && g.key_hash == f.key_hash)
         {
             reg.push(f.clone());
         }
@@ -493,7 +489,7 @@ impl<'s> SweepSession<'s> {
         let Some(cache) = &self.cache else {
             return Arc::new(self.analysis_job(i, apx)());
         };
-        let key = (i, apx, self.n.0);
+        let key = (i, apx);
         if let Some(r) = cache.reports.lock().expect("reports lock").get(&key) {
             return Arc::clone(r);
         }
@@ -530,14 +526,14 @@ impl<'s> SweepSession<'s> {
         let missing: Vec<usize> = {
             let map = cache.reports.lock().expect("reports lock");
             (0..self.specs.len())
-                .filter(|&i| !map.contains_key(&(i, apx, self.n.0)))
+                .filter(|&i| !map.contains_key(&(i, apx)))
                 .collect()
         };
         if !missing.is_empty() {
             let built = self.analyze_on_pool(&missing, apx);
             let mut map = cache.reports.lock().expect("reports lock");
             for (&i, r) in missing.iter().zip(built) {
-                map.entry((i, apx, self.n.0)).or_insert(r);
+                map.entry((i, apx)).or_insert(r);
             }
         }
         (0..self.specs.len())
@@ -569,7 +565,7 @@ impl<'s> SweepSession<'s> {
     }
 
     /// Runs the suite under a custom per-workload configuration, memoized
-    /// by config fingerprint (the general form behind Fig 6, Fig 17, and
+    /// by store key (the general form behind Fig 6, Fig 17, and
     /// the Fig 20 sensitivity sweeps).
     pub fn suite_with<F>(&self, with_oracle: bool, mk: F) -> Result<Vec<RunOutcome>, CellFailure>
     where
@@ -620,9 +616,21 @@ impl<'s> SweepSession<'s> {
                     Some(reports) => IdealOracle::new(reports[i].stable_pcs.iter().copied()),
                     None => IdealOracle::default(),
                 };
-                (vec![i], mk(spec, oracle))
+                self.cell(vec![i], mk(spec, oracle))
             })
             .collect()
+    }
+
+    /// A cell with its store key, assembled from the logical config (before
+    /// [`run_cell`] layers its watchdog budget on top).
+    fn cell(&self, workloads: Vec<usize>, cfg: CoreConfig) -> Cell {
+        let specs: Vec<&WorkloadSpec> = workloads.iter().map(|&i| &self.specs[i]).collect();
+        let key = persist::store_key(&specs, &cfg, self.n);
+        Cell {
+            workloads,
+            cfg,
+            key,
+        }
     }
 
     /// The core behind every suite, grid and SMT2 pairing: runs each
@@ -642,142 +650,123 @@ impl<'s> SweepSession<'s> {
     /// alone.
     fn run_cells(&self, sets: Vec<Vec<Cell>>) -> Vec<Vec<CellOutcome>> {
         let Some(cache) = &self.cache else {
-            let lens: Vec<usize> = sets.iter().map(Vec::len).collect();
-            let cells = sets
-                .into_iter()
-                .flatten()
-                .map(|(workloads, cfg)| ((workloads, cfg.fingerprint()), cfg, None))
-                .collect();
-            let mut outcomes = self.run_on_pool(cells).into_iter().map(|(_, cell)| cell);
-            return lens
-                .into_iter()
-                .map(|len| outcomes.by_ref().take(len).collect())
+            let mut outcomes = self.run_on_pool(&sets.iter().flatten().collect::<Vec<_>>());
+            return sets
+                .iter()
+                .map(|set| outcomes.drain(..set.len()).collect())
                 .collect();
         };
         self.ensure_programs();
-        let keyed: Vec<Vec<CellKey>> = sets
-            .iter()
-            .map(|set| {
-                set.iter()
-                    .map(|(workloads, cfg)| (workloads.clone(), cfg.fingerprint()))
-                    .collect()
-            })
-            .collect();
-        let mut missing: Vec<(CellKey, CoreConfig, Option<StoreKey>)> = Vec::new();
-        {
+        // One memo lookup per cell: hits are cloned out now, and only the
+        // misses are looked up again once they have run.
+        let mut missing: Vec<&Cell> = Vec::new();
+        let hits: Vec<Vec<Option<CellOutcome>>> = {
             let done = cache.outcomes.lock().expect("outcomes lock");
-            let mut queued: HashSet<&CellKey> = HashSet::new();
-            for (set, keys) in sets.into_iter().zip(&keyed) {
-                for ((_, cfg), key) in set.into_iter().zip(keys) {
-                    if !done.contains_key(key) && queued.insert(key) {
-                        missing.push((key.clone(), cfg, None));
-                    }
-                }
-            }
-        }
-        // With a store attached, every missing cell gets its stable store
-        // key (logical config, before watchdog instrumentation). A verified
-        // hit goes straight into the outcome memo; a damaged record
-        // quarantines (with forensics in the failure registry) and falls
-        // through to recompute, carrying its key to the job.
+            let mut queued: HashSet<&StoreKey> = HashSet::new();
+            sets.iter()
+                .map(|set| {
+                    set.iter()
+                        .map(|cell| {
+                            let hit = done.get(&cell.key).cloned();
+                            if hit.is_none() && queued.insert(&cell.key) {
+                                missing.push(cell);
+                            }
+                            hit
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        // With a store attached, a verified hit goes straight into the
+        // outcome memo; a damaged record quarantines (with forensics in the
+        // failure registry) and falls through to recompute.
         if !missing.is_empty() {
             let mut guard = self.store.lock().expect("store lock");
             if let Some(store) = guard.as_mut() {
                 let mut done = cache.outcomes.lock().expect("outcomes lock");
-                missing.retain_mut(|((workloads, fp), cfg, store_key)| {
-                    let key = persist::store_key(&self.cell_specs(workloads), cfg, self.n);
-                    let name = self.cell_name(workloads);
-                    match self.store_lookup(store, &key, &name, *fp) {
-                        Some(outcome) => {
-                            done.entry((workloads.clone(), *fp)).or_insert(Ok(outcome));
-                            false
-                        }
-                        None => {
-                            *store_key = Some(key);
-                            true
-                        }
+                missing.retain(|&cell| match self.store_lookup(store, cell) {
+                    Some(outcome) => {
+                        done.entry(cell.key.clone()).or_insert(Ok(outcome));
+                        false
                     }
+                    None => true,
                 });
             }
         }
         if !missing.is_empty() {
-            let outcomes = self.run_on_pool(missing);
+            let outcomes = self.run_on_pool(&missing);
             let mut done = cache.outcomes.lock().expect("outcomes lock");
-            for (key, cell) in outcomes {
-                done.entry(key).or_insert(cell);
+            for (cell, outcome) in missing.into_iter().zip(outcomes) {
+                done.entry(cell.key.clone()).or_insert(outcome);
             }
         }
         let done = cache.outcomes.lock().expect("outcomes lock");
-        keyed
-            .iter()
-            .map(|keys| {
-                keys.iter()
-                    .map(|key| done.get(key).expect("just computed").clone())
+        sets.iter()
+            .zip(hits)
+            .map(|(set, hits)| {
+                set.iter()
+                    .zip(hits)
+                    .map(|(cell, hit)| {
+                        hit.unwrap_or_else(|| done.get(&cell.key).expect("just computed").clone())
+                    })
                     .collect()
             })
             .collect()
     }
 
     /// Runs `cells` through [`run_cell`] as one guarded pool batch and
-    /// files every failure in the registry. A cell carrying a store key is
-    /// persisted by its own job the moment it verifies.
-    fn run_on_pool(
-        &self,
-        cells: Vec<(CellKey, CoreConfig, Option<StoreKey>)>,
-    ) -> Vec<(CellKey, CellOutcome)> {
+    /// files every failure in the registry. With a store attached, each
+    /// job persists its own cell the moment it verifies.
+    fn run_on_pool(&self, cells: &[&Cell]) -> Vec<CellOutcome> {
         let n = self.n;
         let jobs: Vec<BatchJob<CellOutcome>> = cells
             .iter()
-            .map(|((workloads, fp), cfg, store_key)| {
-                let fp = *fp;
-                let loaders: Vec<_> = workloads
+            .map(|cell| {
+                let loaders: Vec<_> = cell
+                    .workloads
                     .iter()
                     .map(|&i| self.program_loader(i, false))
                     .collect();
-                let name = self.cell_name(workloads);
-                let category = self.specs[workloads[0]].category;
-                let cfg = cfg.clone();
-                let store_key = store_key.clone();
+                let name = self.cell_name(&cell.workloads);
+                let category = self.specs[cell.workloads[0]].category;
+                let cfg = cell.cfg.clone();
+                let key = cell.key.clone();
                 let store = Arc::clone(&self.store);
                 let job: BatchJob<CellOutcome> = Box::new(move |scratch| {
                     let programs: Vec<Arc<Program>> =
                         loaders.into_iter().map(|load| load()).collect();
                     let programs: Vec<&Program> = programs.iter().map(Arc::as_ref).collect();
-                    let cell = run_cell(&programs, &name, category, cfg, n, fp, scratch);
-                    if let (Ok(run), Some(key)) = (&cell, &store_key) {
-                        store_put(&store, key, run);
+                    let outcome = run_cell(&programs, &name, category, &cfg, n, &key, scratch);
+                    if let Ok(run) = &outcome {
+                        store_put(&store, &key, run);
                     }
-                    cell
+                    outcome
                 });
                 job
             })
             .collect();
         let outcomes = self.pool.run_batch_guarded(jobs);
         cells
-            .into_iter()
+            .iter()
             .zip(outcomes)
-            .map(|(((workloads, fp), _, _), outcome)| {
+            .map(|(cell, outcome)| {
                 // A job that panicked on its worker is wrapped in a
                 // quarantine bundle carrying the payload.
-                let cell = outcome.unwrap_or_else(|payload| {
+                let outcome = outcome.unwrap_or_else(|payload| {
                     Err(CellFailure::from_panic(
-                        &self.cell_name(&workloads),
-                        fp,
+                        &self.cell_name(&cell.workloads),
+                        &cell.key,
+                        &cell.cfg,
                         self.n,
                         payload,
                     ))
                 });
-                if let Err(f) = &cell {
+                if let Err(f) = &outcome {
                     self.record_failure(f);
                 }
-                ((workloads, fp), cell)
+                outcome
             })
             .collect()
-    }
-
-    /// The suite specs of a cell's thread slots.
-    fn cell_specs(&self, workloads: &[usize]) -> Vec<&'s WorkloadSpec> {
-        workloads.iter().map(|&i| &self.specs[i]).collect()
     }
 
     /// A cell's workload name: one suite name, or an SMT2 pair's two names
@@ -792,7 +781,7 @@ impl<'s> SweepSession<'s> {
 
     /// Runs the SMT2 pairing (workload `i` co-scheduled with `i + half`)
     /// under several config makers at once (Fig 14's machine pairings),
-    /// memoized by pair and config fingerprint and quarantined per pair,
+    /// memoized by store key and quarantined per pair,
     /// like the single-thread suites: every missing (pair × maker) cell
     /// reaches the pool as one submission. Results are per maker, in maker
     /// order.
@@ -805,7 +794,7 @@ impl<'s> SweepSession<'s> {
             .iter()
             .map(|mk| {
                 (0..half)
-                    .map(|i| (vec![i, i + half], mk(&self.specs[i])))
+                    .map(|i| self.cell(vec![i, i + half], mk(&self.specs[i])))
                     .collect()
             })
             .collect();
@@ -821,10 +810,9 @@ impl<'s> SweepSession<'s> {
 /// failures are reported but never fail the cell — the result still
 /// reaches the in-process memo.
 fn store_put(store: &SharedStore, key: &StoreKey, outcome: &RunOutcome) {
-    let payload = persist::encode_outcome(outcome);
-    let digest = outcome.result.stats_digest();
     if let Some(store) = store.lock().expect("store lock").as_mut() {
-        if let Err(e) = store.put(key, &payload, digest) {
+        let payload = persist::encode_outcome(outcome);
+        if let Err(e) = store.put(key, &payload, outcome.result.stats_digest()) {
             eprintln!("[store: write failed for {}: {e}]", outcome.workload);
         }
     }
@@ -833,22 +821,23 @@ fn store_put(store: &SharedStore, key: &StoreKey, outcome: &RunOutcome) {
 /// Runs one (workload, machine) cell: the single path every sweep cell
 /// takes. `programs` holds one program per hardware thread (two for an
 /// SMT2 pair), and each thread retires `n / programs.len()` instructions.
-/// `fp` is the logical fingerprint the memo and the failure registry file
-/// the cell under, computed before the watchdog budget applied here
-/// (harness instrumentation, not machine identity). Verification is per
-/// cell: a failing run returns its quarantine bundle.
+/// `cfg` is the logical config `key` was assembled from; the watchdog
+/// budget applied here is harness instrumentation, not machine identity.
+/// Verification is per cell: a failing run returns its quarantine bundle.
 pub(crate) fn run_cell(
     programs: &[&Program],
     name: &str,
     category: Category,
-    mut cfg: CoreConfig,
+    cfg: &CoreConfig,
     n: RunLength,
-    fp: u64,
+    key: &StoreKey,
     scratch: &mut SimScratch,
 ) -> CellOutcome {
     let per_thread = n.0 / programs.len() as u64;
-    cfg.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
-    let mut core = Core::new_multi_with_scratch(programs.to_vec(), cfg, std::mem::take(scratch));
+    let mut machine = cfg.clone();
+    machine.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
+    let mut core =
+        Core::new_multi_with_scratch(programs.to_vec(), machine, std::mem::take(scratch));
     let result = core.run(per_thread);
     *scratch = core.into_scratch();
     match result.verify() {
@@ -857,7 +846,7 @@ pub(crate) fn run_cell(
             category,
             result,
         }),
-        Err(e) => Err(CellFailure::from_error(name, fp, n, &e)),
+        Err(e) => Err(CellFailure::from_error(name, key, cfg, n, &e)),
     }
 }
 

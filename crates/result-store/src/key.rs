@@ -9,8 +9,10 @@ use sim_mem::TraceDigest;
 /// The key's first byte is always [`crate::KEY_FORMAT_VERSION`], so a
 /// layout change makes every old key a clean miss rather than a misread.
 /// Records embed the full key bytes; the 64-bit FNV hash is only the
-/// content address (file name / index slot), never the identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// content address (file name / index slot), never the identity. The sweep
+/// harness also keys its in-process run memo by the key bytes (hence
+/// `Hash`), so a cell has one identity in memory and on disk.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StoreKey {
     bytes: Vec<u8>,
 }

@@ -3,10 +3,10 @@
 //! A durable, content-addressed, on-disk store for completed sweep cells,
 //! keyed by a **stable, versioned, explicit byte encoding** of
 //! (workload generation parameters, full `CoreConfig` field encoding, run
-//! length) — never by the hasher-internal `CoreConfig::fingerprint`, which
-//! is only stable within one process. A second process (or a process a
-//! week later, on a rebuilt binary) re-derives byte-identical keys and
-//! answers repeated sweep cells from disk at warm-rerender speed.
+//! length) — the same key the sweep harness files each cell under in its
+//! in-process memo. A second process (or a process a week later, on a
+//! rebuilt binary) re-derives byte-identical keys and answers repeated
+//! sweep cells from disk at warm-rerender speed.
 //!
 //! The store trusts nothing it reads back:
 //!

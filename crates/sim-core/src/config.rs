@@ -9,7 +9,7 @@ use sim_mem::MemConfig;
 /// 6-wide out-of-order x86-64-class core at 3.2 GHz with Memory Renaming and
 /// the rename-stage dynamic optimizations (zero/move elimination, constant
 /// and branch folding) **enabled in the baseline**, per §8.1.
-#[derive(Debug, Clone, Hash)]
+#[derive(Debug, Clone)]
 pub struct CoreConfig {
     // Widths.
     pub fetch_width: u32,
@@ -132,28 +132,12 @@ impl CoreConfig {
         }
     }
 
-    /// Deterministic content fingerprint over every configuration field,
-    /// including the attached oracle's PC set.
-    ///
-    /// Two configs that would schedule a simulation differently never share
-    /// a fingerprint (up to 64-bit hash collisions), so it is usable as a
-    /// memoization key: a suite runner that has already simulated
-    /// `(workload, fingerprint)` can reuse the outcome verbatim. The value
-    /// is stable within a process but not across builds — persist results
-    /// by field, not by fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = crate::hash::FastHasher::default();
-        self.hash(&mut h);
-        h.finish()
-    }
-
     /// Appends the stable on-disk key encoding of **every** configuration
     /// field to `out` — the `CoreConfig` component of the result-store key
-    /// format. Unlike [`CoreConfig::fingerprint`] (a `Hash`-derived value
-    /// that is only stable within one process/build), this is an explicit
-    /// little-endian byte encoding in declaration order, so two processes
-    /// — or two builds — produce byte-identical keys for the same machine.
+    /// format, and through it the one identity a sweep cell has (its
+    /// in-process memo key too). It is an explicit little-endian byte
+    /// encoding in declaration order, so two processes — or two builds —
+    /// produce byte-identical keys for the same machine.
     ///
     /// The destructuring is exhaustive on purpose: adding a `CoreConfig`
     /// field breaks this function at compile time, forcing the new field
@@ -243,8 +227,8 @@ impl CoreConfig {
             }
         }
         out.push(ideal.map_or(0, |i| i.stable_code()));
-        // Oracle PC set in sorted order (insertion-order independent, like
-        // the fingerprint's order-independent hash).
+        // Oracle PC set in sorted order, so the encoding is independent of
+        // the set's insertion order.
         let pcs = oracle.sorted_pcs();
         out.extend_from_slice(&(pcs.len() as u64).to_le_bytes());
         for pc in pcs {
@@ -326,15 +310,7 @@ mod tests {
         assert_eq!(c.rs_size, 496);
     }
 
-    #[test]
-    fn fingerprint_is_deterministic_and_clone_invariant() {
-        let a = CoreConfig::golden_cove_like().with_constable();
-        let b = a.clone();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint(), a.fingerprint());
-    }
-
-    /// One config per mutable field, for the separation tests below.
+    /// One config per mutable field, for the separation test below.
     fn field_variants() -> Vec<(&'static str, CoreConfig)> {
         use constable::{ConstableConfig, IdealConfig, IdealOracle};
 
@@ -441,28 +417,9 @@ mod tests {
         variants
     }
 
-    /// Every field that can differ between two machine configurations must
-    /// produce a distinct fingerprint — a collision would silently alias
-    /// two different simulations in the sweep memo.
-    #[test]
-    fn fingerprint_separates_every_config_field() {
-        let variants = field_variants();
-        for i in 0..variants.len() {
-            for j in (i + 1)..variants.len() {
-                assert_ne!(
-                    variants[i].1.fingerprint(),
-                    variants[j].1.fingerprint(),
-                    "fingerprint collision between {} and {}",
-                    variants[i].0,
-                    variants[j].0
-                );
-            }
-        }
-    }
-
-    /// The stable key encoding must separate every config field too — it is
-    /// the on-disk memo key of the result store, where an alias would serve
-    /// one machine's persisted results to a different machine.
+    /// The stable key encoding must separate every config field: it is the
+    /// identity of a sweep cell in the run memo and the result store, where
+    /// an alias would serve one machine's results to a different machine.
     #[test]
     fn stable_encoding_separates_every_config_field() {
         let enc = |c: &CoreConfig| {
@@ -482,7 +439,7 @@ mod tests {
                 );
             }
         }
-        // Deterministic and clone-invariant, like the fingerprint.
+        // Deterministic and clone-invariant.
         let a = CoreConfig::golden_cove_like().with_constable();
         assert_eq!(enc(&a), enc(&a.clone()));
         // Oracle encoding is insertion-order independent.

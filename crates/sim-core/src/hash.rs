@@ -28,9 +28,15 @@ impl Hasher for FastHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
+        // Whole words straight from the slice; only a short tail is padded.
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
             let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
+            buf[..tail.len()].copy_from_slice(tail);
             self.mix(u64::from_le_bytes(buf));
         }
     }
@@ -66,6 +72,19 @@ mod tests {
         }
         assert_eq!(m.len(), 1000);
         assert_eq!(m[&0x40_0000], 1);
+    }
+
+    /// A byte write mixes whole little-endian words, then the tail
+    /// zero-padded to a word — the same as writing those words directly.
+    #[test]
+    fn byte_writes_mix_words_then_the_padded_tail() {
+        let bytes: Vec<u8> = (1..=13).collect();
+        let mut by_bytes = FastHasher::default();
+        by_bytes.write(&bytes);
+        let mut by_words = FastHasher::default();
+        by_words.write_u64(u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]));
+        by_words.write_u64(u64::from_le_bytes([9, 10, 11, 12, 13, 0, 0, 0]));
+        assert_eq!(by_bytes.finish(), by_words.finish());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use sim_stats::Counter;
 
 /// DRAM timing/geometry parameters, in core cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     pub channels: usize,
     pub ranks: usize,

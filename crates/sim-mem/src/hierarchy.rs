@@ -122,7 +122,7 @@ impl EvictionSink {
 }
 
 /// Cache geometry and latency configuration (paper Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemConfig {
     pub l1_bytes: u64,
     pub l1_ways: usize,

@@ -99,20 +99,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Per-bucket fractions of all samples.
-    pub fn bucket_fracs(&self) -> Vec<f64> {
-        self.counts
-            .iter()
-            .map(|&c| {
-                if self.total == 0 {
-                    0.0
-                } else {
-                    c as f64 / self.total as f64
-                }
-            })
-            .collect()
-    }
-
     /// Number of samples recorded.
     pub fn total(&self) -> u64 {
         self.total
@@ -125,34 +111,6 @@ impl Histogram {
         } else {
             self.sum as f64 / self.total as f64
         }
-    }
-
-    /// Human-readable labels, e.g. `[0-50)`, `[50-100)`, `250+`.
-    pub fn labels(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.counts.len());
-        let mut lo = 0;
-        for &b in &self.bounds {
-            out.push(format!("[{lo}-{b})"));
-            lo = b;
-        }
-        out.push(format!("{lo}+"));
-        out
-    }
-
-    /// Merges another histogram with identical bounds into this one.
-    ///
-    /// # Panics
-    /// Panics if the bucket bounds differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge mismatched histograms"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
     }
 }
 
@@ -167,34 +125,6 @@ mod tests {
         h.record(50); // boundary: belongs to [50,100)
         h.record(100); // boundary: overflow bucket
         assert_eq!(h.bucket_counts(), &[1, 1, 1]);
-    }
-
-    #[test]
-    fn fracs_sum_to_one() {
-        let mut h = Histogram::new(&[10, 20, 30]);
-        for v in 0..100 {
-            h.record(v);
-        }
-        let s: f64 = h.bucket_fracs().iter().sum();
-        assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn labels_match_paper_style() {
-        let h = Histogram::new(&[50, 100, 250]);
-        assert_eq!(h.labels(), vec!["[0-50)", "[50-100)", "[100-250)", "250+"]);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new(&[10]);
-        let mut b = Histogram::new(&[10]);
-        a.record(5);
-        b.record(15);
-        b.record(3);
-        a.merge(&b);
-        assert_eq!(a.bucket_counts(), &[2, 1]);
-        assert_eq!(a.total(), 3);
     }
 
     #[test]
