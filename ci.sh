@@ -3,14 +3,15 @@
 #
 #   ./ci.sh          # fmt + clippy + build + tests + perfbench type-check + smokes + bench gates
 #   ./ci.sh --fast   # skip the bench smoke and regression gate
-#   ./ci.sh --bless  # regenerate the scheduling trace-oracle golden files
+#   ./ci.sh --bless  # regenerate the trace-oracle and figure-text golden files
 #
 # Everything runs offline: the workspace vendors stand-ins for rand and
 # criterion under shims/ (see Cargo.toml), so no network is required.
 #
 # Golden files: the scheduling trace oracle (crates/sim-core/tests/golden/
-# and tests/golden/) is verified by the normal test run — a stale golden
-# fails `cargo test`. Re-bless only when the *modelled* behavior changed
+# and tests/golden/) and the figure text (crates/experiments/tests/golden/)
+# are verified by the normal test run — a stale golden fails `cargo test`.
+# Re-bless only when the *modelled* behavior or a figure's rendering changed
 # intentionally, then review the golden diff before committing.
 
 set -euo pipefail
@@ -23,10 +24,14 @@ if [[ "${1:-}" == "--bless" ]]; then
     SIM_TRACE_BLESS=1 cargo test -q --release -p sim-core --test trace_oracle trace_matrix_matches_goldens
     step "bless trace-oracle goldens (machine-kind matrix)"
     SIM_TRACE_BLESS=1 cargo test -q --release --test golden_verification machine_kind_traces_match_goldens
+    step "bless figure-text golden"
+    SIM_TRACE_BLESS=1 cargo test -q --release -p experiments --test sweep every_figure_matches_the_committed_text
     step "verify blessed goldens"
     cargo test -q --release -p sim-core --test trace_oracle
     cargo test -q --release --test golden_verification machine_kind_traces_match_goldens
-    git --no-pager diff --stat -- crates/sim-core/tests/golden tests/golden || true
+    cargo test -q --release -p experiments --test sweep every_figure_matches_the_committed_text
+    git --no-pager diff --stat -- crates/sim-core/tests/golden tests/golden \
+        crates/experiments/tests/golden || true
     step "OK (review the golden diff above before committing)"
     exit 0
 fi
@@ -142,7 +147,9 @@ EOF
     step "golden freshness (bless output must be committed-clean)"
     SIM_TRACE_BLESS=1 cargo test -q --release -p sim-core --test trace_oracle trace_matrix_matches_goldens
     SIM_TRACE_BLESS=1 cargo test -q --release --test golden_verification machine_kind_traces_match_goldens
-    if ! git diff --exit-code -- crates/sim-core/tests/golden tests/golden; then
+    SIM_TRACE_BLESS=1 cargo test -q --release -p experiments --test sweep every_figure_matches_the_committed_text
+    if ! git diff --exit-code -- crates/sim-core/tests/golden tests/golden \
+        crates/experiments/tests/golden; then
         echo "FAIL: --bless output differs from the committed goldens (see diff above);" >&2
         echo "      review and commit the regenerated files or revert the behavior change" >&2
         exit 1

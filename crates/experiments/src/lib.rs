@@ -5,9 +5,12 @@
 
 //! # experiments — the paper's evaluation, regenerated
 //!
-//! One runner per table/figure of *Constable* (ISCA 2024). Each function in
-//! [`figures`] prints the same rows/series the paper reports; the
-//! `experiments` binary dispatches on a figure id:
+//! Every table and figure of *Constable* (ISCA 2024) is one entry of the
+//! figure registry (`figures.rs`): its id, the single-thread machine
+//! suites it runs, and the body that renders the paper's rows and series
+//! from them. [`FIGURES`], [`figure_kinds`] and [`try_run_figure`] are
+//! views of that registry, and the `experiments` binary dispatches on a
+//! figure id:
 //!
 //! ```text
 //! cargo run --release -p experiments -- fig11          # full suite
@@ -20,15 +23,14 @@
 //!
 //! ## The sweep engine
 //!
-//! All figure runners draw their simulations from one [`SweepSession`]
-//! ([`sweep`]): a per-invocation cache of `Arc<Program>` builds,
-//! `load_inspector` reports, and completed [`RunOutcome`]s keyed by each
-//! cell's stable store key ([`store_key`], the same key the on-disk result
-//! store uses), executed on a persistent
-//! work-stealing pool that takes each figure's whole (workload × config)
-//! matrix as a single flat job list. Running several figures in one
-//! invocation (`all`, or `fig11 fig12 fig13`) therefore simulates the
-//! Baseline suite exactly once and shares every repeated configuration:
+//! Figures draw every simulation from one [`SweepSession`] ([`sweep`]): a
+//! per-invocation cache of program builds, `load_inspector` reports, and
+//! verified [`RunOutcome`]s keyed by each cell's stable store key
+//! ([`store_key`], the key the on-disk result store uses too), run on one
+//! work-stealing pool. The registry submits a figure's declared suites as
+//! one flat job list, so the suites a figure declares are the suites it
+//! runs, and several figures in one invocation (`all`, or `fig11 fig12`)
+//! simulate the Baseline suite once and share every repeated machine:
 //!
 //! ```no_run
 //! use experiments::{run_figure, RunLength, SweepSession};
@@ -45,12 +47,13 @@
 //! (the Constable engine's included) comes back in the cell's verified
 //! result. [`SweepSession::uncached`] runs the same cells with no memo, no
 //! dedupe and no store; both modes emit byte-identical figure text —
-//! asserted by `tests/sweep.rs` and measured by
+//! asserted by `tests/sweep.rs`, which also holds every figure's text to
+//! the committed `tests/golden/figures.txt`, and measured by
 //! `cargo bench -p bench --bench sweep`.
 
 pub mod configs;
 pub mod fault;
-pub mod figures;
+mod figures;
 pub mod persist;
 pub mod runner;
 pub mod sweep;
@@ -59,78 +62,34 @@ pub use configs::MachineKind;
 pub use fault::{CellFailure, CellOutcome};
 pub use persist::{decode_outcome, encode_outcome, store_key, PAYLOAD_VERSION};
 pub use runner::{RunLength, RunOutcome, WATCHDOG_BUDGET};
-pub use sweep::{MkOracleConfig, MkPairConfig, SweepPool, SweepSession};
+pub use sweep::{MkOracleConfig, SweepPool, SweepSession};
 
-/// The figure ids the harness understands, with their runners.
-pub const FIGURES: &[&str] = &[
-    "fig3",
-    "fig6",
-    "fig7",
-    "fig9a",
-    "fig9b",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20a",
-    "fig20b",
-    "fig21",
-    "fig22",
-    "fig23",
-    "fig24",
-    "table1",
-    "table3",
-    "amt-granularity",
-    "xprf",
-    "verify",
-];
+/// Every figure id the harness understands, in the order `all` renders
+/// them: the ids of the figure registry.
+pub const FIGURES: &[&str] = &figure_ids::<{ figures::REGISTRY.len() }>();
 
-/// The machine suites a figure id sweeps, for figures whose work *is* a
-/// plain (workload × machine) matrix. Figures built from custom-config or
-/// parameter-swept runs (fig6, fig17, fig20a/b) and the pure-analysis and
-/// static ones (fig3, the tables) return `None`.
+const fn figure_ids<const N: usize>() -> [&'static str; N] {
+    let mut ids = [""; N];
+    let mut i = 0;
+    while i < N {
+        ids[i] = figures::REGISTRY[i].id;
+        i += 1;
+    }
+    ids
+}
+
+fn figure(id: &str) -> Option<&'static figures::Figure> {
+    figures::REGISTRY.iter().find(|f| f.id == id)
+}
+
+/// The single-thread machine suites figure `id` declares, in the order it
+/// submits them. `None` for an unknown id and for a figure that declares
+/// no plain suite: one that runs only custom-config cells (fig6, fig17),
+/// SMT2 pairs (fig14) or load analyses (fig3, fig23, fig24), or no cells
+/// at all (the tables). fig20a and fig20b declare the Baseline suite their
+/// sensitivity grids are measured against.
 pub fn figure_kinds(id: &str) -> Option<&'static [MachineKind]> {
-    use MachineKind::*;
-    Some(match id {
-        "fig7" => &[
-            Baseline,
-            IdealStableLvp,
-            IdealStableLvpNoFetch,
-            DoubleLoadWidth,
-            IdealConstable,
-        ],
-        "fig9a" => &[Constable],
-        "fig9b" => &[Constable, ConstableCorrectPathOnly],
-        "fig11" | "fig14" | "fig15" | "fig16" => {
-            &[Baseline, Eves, Constable, EvesConstable, EvesIdealConstable]
-        }
-        "fig12" => &[Baseline, Eves, Constable, EvesConstable],
-        "fig13" => &[
-            Baseline,
-            Constable,
-            ConstableOnly(sim_isa::AddrMode::PcRelative),
-            ConstableOnly(sim_isa::AddrMode::StackRelative),
-            ConstableOnly(sim_isa::AddrMode::RegRelative),
-        ],
-        "fig18" | "fig19" | "fig23" | "fig24" => &[Baseline, Constable],
-        "fig21" => &[Baseline, Elar, Rfp, Constable, ElarConstable, RfpConstable],
-        "fig22" => &[Baseline, Constable, ConstableAmtI],
-        "amt-granularity" => &[Baseline, Constable, ConstableFullAddrAmt],
-        "xprf" => &[Constable],
-        "verify" => &[
-            Baseline,
-            Constable,
-            EvesConstable,
-            ConstableAmtI,
-            ConstableFullAddrAmt,
-        ],
-        _ => return None,
-    })
+    figure(id).map(|f| f.kinds).filter(|k| !k.is_empty())
 }
 
 /// Runs the figure named `id` against `session` and returns its report, or
@@ -142,33 +101,9 @@ pub fn figure_kinds(id: &str) -> Option<&'static [MachineKind]> {
 /// # Panics
 /// Panics on an unknown id (the binary validates first).
 pub fn try_run_figure(id: &str, session: &SweepSession<'_>) -> Result<String, CellFailure> {
-    match id {
-        "fig3" => figures::fig3(session),
-        "fig6" => figures::fig6(session),
-        "fig7" => figures::fig7(session),
-        "fig9a" => figures::fig9a(session),
-        "fig9b" => figures::fig9b(session),
-        "fig11" => figures::fig11(session),
-        "fig12" => figures::fig12(session),
-        "fig13" => figures::fig13(session),
-        "fig14" => figures::fig14(session),
-        "fig15" => figures::fig15(session),
-        "fig16" => figures::fig16(session),
-        "fig17" => figures::fig17(session),
-        "fig18" => figures::fig18(session),
-        "fig19" => figures::fig19(session),
-        "fig20a" => figures::fig20a(session),
-        "fig20b" => figures::fig20b(session),
-        "fig21" => figures::fig21(session),
-        "fig22" => figures::fig22(session),
-        "fig23" | "fig24" => figures::fig23_24(session),
-        "table1" => Ok(figures::table1()),
-        "table3" => Ok(figures::table3()),
-        "amt-granularity" => figures::amt_granularity(session),
-        "xprf" => figures::xprf(session),
-        "verify" => figures::verify(session),
-        other => panic!("unknown figure id {other:?}; known: {FIGURES:?}"),
-    }
+    figure(id)
+        .unwrap_or_else(|| panic!("unknown figure id {id:?}; known: {FIGURES:?}"))
+        .run(session)
 }
 
 /// [`try_run_figure`] for callers that treat a quarantined cell as fatal
@@ -186,21 +121,27 @@ mod tests {
 
     #[test]
     fn figure_kinds_maps_only_figure_ids() {
-        // Every figure id maps to a non-empty machine list except these.
+        use MachineKind::*;
+        // Every figure id maps to the plain suites it runs, except these,
+        // which run none.
         let unmapped = [
-            "fig3", "fig6", "fig17", "fig20a", "fig20b", "table1", "table3",
+            "fig3", "fig6", "fig14", "fig17", "fig23", "fig24", "table1", "table3",
         ];
-        for id in FIGURES {
+        for (i, id) in FIGURES.iter().enumerate() {
+            assert!(!FIGURES[..i].contains(id), "{id} is registered twice");
             let kinds = figure_kinds(id);
             assert_eq!(kinds.is_none(), unmapped.contains(id), "{id}");
             assert!(kinds.is_none_or(|k| !k.is_empty()), "{id}");
         }
-        let fig11 = figure_kinds("fig11").expect("fig11 maps");
-        assert_eq!(fig11.len(), 5);
-        assert!(fig11.contains(&MachineKind::EvesIdealConstable));
-        assert_eq!(figure_kinds("xprf"), Some(&[MachineKind::Constable][..]));
-        let amt = figure_kinds("amt-granularity").expect("amt-granularity maps");
-        assert!(amt.contains(&MachineKind::ConstableFullAddrAmt));
+        let has = |id, kind| figure_kinds(id).is_some_and(|k| k.contains(&kind));
+        assert_eq!(figure_kinds("fig11").map(<[_]>::len), Some(5));
+        assert!(has("fig11", EvesIdealConstable));
+        assert!(has("fig15", Elar) && has("fig15", Rfp));
+        assert_eq!(figure_kinds("fig21"), Some(&[Baseline, Constable][..]));
+        assert!(!has("fig16", Baseline) && has("fig19", EvesConstable));
+        assert_eq!(figure_kinds("fig20a"), Some(&[Baseline][..]));
+        assert_eq!(figure_kinds("xprf"), Some(&[Constable][..]));
+        assert!(has("amt-granularity", ConstableFullAddrAmt));
         assert!(figure_kinds("nope").is_none());
     }
 }

@@ -39,7 +39,9 @@
 //! figure), and the binary ends with a quarantine table of per-cell
 //! diagnostics bundles. Exit codes: 0 all clean, 2 quarantined cells,
 //! 3 at least one watchdog abort, 64 a malformed command line (usage on
-//! stderr).
+//! stderr), 74 stdout could not be written. A reader that stops early
+//! (`experiments list | head -2`) is not an error: the first write to the
+//! closed pipe ends the process quietly with exit 0, whatever ran before.
 //!
 //! The `cell` subcommand reruns one (workload, machine) cell in isolation
 //! with full forensics — the repro vehicle the quarantine table points at.
@@ -61,6 +63,31 @@ const CELL_USAGE: &str = "usage: experiments -- cell <workload>[+<workload>] <ma
      [--depth-scale X] [--quick|--len N]
   <workload>: one suite workload, or two joined with `+` for an SMT2 pair
   --depth-scale X: window-size factor, finite and in (0, 16]";
+
+/// Exit code of a failed write to stdout other than a closed pipe (BSD
+/// `EX_IOERR`).
+const EX_IOERR: i32 = 74;
+
+/// `println!` through the binary's one stdout writer, [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A closed pipe means the reader has all it wants, so
+/// the process exits 0 at once, without a panic or a backtrace; any other
+/// write error exits [`EX_IOERR`].
+fn write_stdout(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(EX_IOERR);
+    }
+}
 
 /// Largest `--depth-scale` the `cell` subcommand accepts: far above the
 /// deepest window any figure sweeps, far below where the scaled window
@@ -129,7 +156,7 @@ fn main() {
             "--subset" => subset = Some(flag_value(&args, &mut i, "a count", USAGE)),
             "list" => {
                 for f in FIGURES {
-                    println!("{f}");
+                    outln!("{f}");
                 }
                 return;
             }
@@ -192,13 +219,13 @@ fn main() {
         let started = std::time::Instant::now();
         match try_run_figure(&id, &session) {
             Ok(report) => {
-                println!("================ {id} ================");
-                println!("{report}");
+                outln!("================ {id} ================");
+                outln!("{report}");
             }
             Err(f) => {
                 quarantined_figures += 1;
-                println!("================ {id} ================");
-                println!("QUARANTINED: {f}");
+                outln!("================ {id} ================");
+                outln!("QUARANTINED: {f}");
                 if !keep_going {
                     eprintln!("[--fail-fast: stopping at the first quarantined figure]");
                     break;
@@ -221,14 +248,14 @@ fn main() {
     if failures.is_empty() {
         return; // exit 0: every cell clean
     }
-    println!("================ quarantine ================");
-    println!(
+    outln!("================ quarantine ================");
+    outln!(
         "{} cell(s) quarantined ({} figure(s) affected); all other cells completed.",
         failures.len(),
         quarantined_figures
     );
     for f in &failures {
-        println!("  {f}");
+        outln!("  {f}");
     }
     let code = if failures.iter().any(|f| f.kind == "watchdog") {
         3
@@ -320,8 +347,8 @@ fn run_cell(args: &[String]) -> i32 {
     // watchdog knob below (harness instrumentation, not machine identity).
     let store_key = experiments::store_key(&cell_specs, &cfg, n);
     cfg.watchdog_no_retire.get_or_insert(WATCHDOG_BUDGET);
-    println!("cell: {workload} on {} (depth-scale {depth})", kind.slug());
-    println!(
+    outln!("cell: {workload} on {} (depth-scale {depth})", kind.slug());
+    outln!(
         "store key: {:#018x} (format v{}, {} bytes; object {})",
         store_key.hash(),
         result_store::KEY_FORMAT_VERSION,
@@ -335,25 +362,27 @@ fn run_cell(args: &[String]) -> i32 {
     }
     let result = core.run(per_thread);
     if let Some(trace) = core.take_trace() {
-        println!(
+        outln!(
             "trace-oracle line: {} stats:{:#018x}",
             trace.golden_line(&format!("{}/{}", kind.slug(), workload)),
             result.stats_digest()
         );
     }
-    println!(
+    outln!(
         "retired {:?} in {} cycles (IPC {:.3}); {} loads checked",
         result.retired_per_thread,
         result.stats.cycles,
         result.ipc(),
         result.stats.retired_loads
     );
-    println!(
+    outln!(
         "elimination: {} eliminated, {} violations, arm_guard_blocked {}",
-        result.stats.loads_eliminated, result.stats.elim_violations, result.stats.arm_guard_blocked
+        result.stats.loads_eliminated,
+        result.stats.elim_violations,
+        result.stats.arm_guard_blocked
     );
     let cs = &result.stats.constable;
-    println!(
+    outln!(
         "constable engine: {} eliminated at rename, {} xPRF-forgone; resets: register write {}, \
          store {}, snoop {}, capacity {}",
         cs.eliminated,
@@ -366,11 +395,11 @@ fn run_cell(args: &[String]) -> i32 {
     print_store_provenance(&store_key, result.stats_digest());
     match result.verify() {
         Ok(()) => {
-            println!("PASS: cell is clean");
+            outln!("PASS: cell is clean");
             0
         }
         Err(e) => {
-            println!("FAIL [{}]: {e}", e.kind());
+            outln!("FAIL [{}]: {e}", e.kind());
             if e.kind() == "watchdog" {
                 3
             } else {
@@ -392,7 +421,7 @@ fn print_store_provenance(store_key: &result_store::StoreKey, fresh_digest: u64)
     let mut store = match result_store::ResultStore::open(std::path::Path::new(&dir), None) {
         Ok(s) => s,
         Err(e) => {
-            println!("store probe: {dir} unusable ({e})");
+            outln!("store probe: {dir} unusable ({e})");
             return;
         }
     };
@@ -407,21 +436,21 @@ fn print_store_provenance(store_key: &result_store::StoreKey, fresh_digest: u64)
                 "DISAGREES with this run"
             };
             match experiments::decode_outcome(&payload) {
-                Ok(outcome) => println!(
+                Ok(outcome) => outln!(
                     "store probe: HIT in {dir} — {} cycles, digest {stats_digest:#018x} ({agrees})",
                     outcome.result.stats.cycles
                 ),
-                Err(e) => println!(
+                Err(e) => outln!(
                     "store probe: HIT in {dir} but payload undecodable ({e}); digest \
                      {stats_digest:#018x} ({agrees})"
                 ),
             }
         }
         result_store::GetOutcome::Miss => {
-            println!("store probe: MISS in {dir} — this cell has never been persisted");
+            outln!("store probe: MISS in {dir} — this cell has never been persisted");
         }
         result_store::GetOutcome::Defect(d) => {
-            println!(
+            outln!(
                 "store probe: DAMAGED record in {dir} ({}); it was quarantined, a sweep would \
                  recompute",
                 d.kind.slug()

@@ -1,7 +1,7 @@
 //! What one sweep cell is and how figures compare them: the run length,
 //! the verified [`RunOutcome`] a cell yields, the watchdog budget every
-//! cell runs under, and the geomean speedup helpers. Cells themselves run
-//! in [`crate::sweep`], on the session's one pool.
+//! cell runs under, and the geomean speedup of one suite over another.
+//! Cells themselves run in [`crate::sweep`], on the session's one pool.
 
 use sim_core::SimResult;
 use sim_workload::Category;
@@ -51,22 +51,4 @@ pub fn geomean_speedup(base: &[RunOutcome], opt: &[RunOutcome]) -> f64 {
         o.ipc() / b.ipc()
     });
     sim_stats::geomean(speedups)
-}
-
-/// Geomean speedup per category plus overall, in the paper's category order.
-pub fn category_speedups(base: &[RunOutcome], opt: &[RunOutcome]) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for cat in Category::ALL {
-        let pairs: Vec<f64> = opt
-            .iter()
-            .zip(base)
-            .filter(|(o, _)| o.category == cat)
-            .map(|(o, b)| o.ipc() / b.ipc())
-            .collect();
-        if !pairs.is_empty() {
-            rows.push((cat.label().to_string(), sim_stats::geomean(pairs)));
-        }
-    }
-    rows.push(("GEOMEAN".to_string(), geomean_speedup(base, opt)));
-    rows
 }

@@ -70,10 +70,6 @@ pub type BatchJob<T> = Box<dyn FnOnce(&mut SimScratch) -> T + Send>;
 /// workload, receiving the workload's cached ideal oracle.
 pub type MkOracleConfig<'a> = dyn Fn(&WorkloadSpec, IdealOracle) -> CoreConfig + Sync + 'a;
 
-/// A grid column for [`SweepSession::suite_smt2_grid`]: builds one machine
-/// per SMT2 pair (keyed by the pair's first workload).
-pub type MkPairConfig<'a> = dyn Fn(&WorkloadSpec) -> CoreConfig + Sync + 'a;
-
 /// A sweep cell: the suite index of the workload in each hardware-thread
 /// slot (two for an SMT2 pair), the logical machine config, and the stable
 /// store key built from both — the cell's identity in the memo, the
@@ -382,11 +378,6 @@ impl<'s> SweepSession<'s> {
         self.specs
     }
 
-    /// Retired instructions per thread per run.
-    pub fn run_length(&self) -> RunLength {
-        self.n
-    }
-
     // ------------------------------------------------------------ programs
 
     /// The shared build of workload `i` (assembled on first use).
@@ -559,9 +550,6 @@ impl<'s> SweepSession<'s> {
             .map(|&k| self.cells_for(k.needs_oracle(), |_, oracle| k.config(oracle)))
             .collect();
         self.run_cells(sets)
-            .into_iter()
-            .map(|cells| cells.into_iter().collect())
-            .collect()
     }
 
     /// Runs the suite under a custom per-workload configuration, memoized
@@ -573,10 +561,7 @@ impl<'s> SweepSession<'s> {
     {
         let sets = vec![self.cells_for(with_oracle, mk)];
         self.run_cells(sets)
-            .pop()
-            .expect("one set in, one out")
-            .into_iter()
-            .collect()
+            .map(|mut v| v.pop().expect("one set in, one out"))
     }
 
     /// [`suite_with`](SweepSession::suite_with) over several config makers
@@ -594,9 +579,6 @@ impl<'s> SweepSession<'s> {
             .map(|mk| self.cells_for(with_oracle, |s, o| mk(s, o)))
             .collect();
         self.run_cells(sets)
-            .into_iter()
-            .map(|cells| cells.into_iter().collect())
-            .collect()
     }
 
     /// Builds the single-thread cells a suite run would use (attaching the
@@ -636,7 +618,8 @@ impl<'s> SweepSession<'s> {
     /// The core behind every suite, grid and SMT2 pairing: runs each
     /// cell not already in the outcome memo through [`run_cell`] as one
     /// flat *guarded* pool batch (a panicking cell quarantines instead of
-    /// poisoning the batch), then assembles each set's results in order.
+    /// poisoning the batch), then assembles each set's results in order,
+    /// or returns the first quarantined cell in set order.
     /// Missing cells are deduplicated across sets (two figures — or two
     /// kinds of one figure — asking for the same cell share one run) and
     /// answered from the store before any pool time is spent. An uncached
@@ -648,7 +631,7 @@ impl<'s> SweepSession<'s> {
     /// worker, records therefore land in completion order, not submission
     /// order; nothing depends on that order, since each record stands
     /// alone.
-    fn run_cells(&self, sets: Vec<Vec<Cell>>) -> Vec<Vec<CellOutcome>> {
+    fn run_cells(&self, sets: Vec<Vec<Cell>>) -> Result<Vec<Vec<RunOutcome>>, CellFailure> {
         let Some(cache) = &self.cache else {
             let mut outcomes = self.run_on_pool(&sets.iter().flatten().collect::<Vec<_>>());
             return sets
@@ -779,29 +762,22 @@ impl<'s> SweepSession<'s> {
             .join("+")
     }
 
-    /// Runs the SMT2 pairing (workload `i` co-scheduled with `i + half`)
-    /// under several config makers at once (Fig 14's machine pairings),
-    /// memoized by store key and quarantined per pair,
-    /// like the single-thread suites: every missing (pair × maker) cell
-    /// reaches the pool as one submission. Results are per maker, in maker
-    /// order.
-    pub fn suite_smt2_grid(
-        &self,
-        mks: &[&MkPairConfig<'_>],
-    ) -> Result<Vec<Vec<RunOutcome>>, CellFailure> {
+    /// [`suites`](SweepSession::suites) for the SMT2 pairing (workload `i`
+    /// co-scheduled with `i + half`, Fig 14): every missing (pair ×
+    /// machine) cell reaches the pool as one submission, memoized by store
+    /// key and quarantined per pair. Pairs run with an empty oracle.
+    /// Results are per kind, in kind order.
+    pub fn smt2_suites(&self, kinds: &[MachineKind]) -> Result<Vec<Vec<RunOutcome>>, CellFailure> {
         let half = self.specs.len() / 2;
-        let sets: Vec<Vec<Cell>> = mks
+        let sets: Vec<Vec<Cell>> = kinds
             .iter()
-            .map(|mk| {
+            .map(|k| {
                 (0..half)
-                    .map(|i| self.cell(vec![i, i + half], mk(&self.specs[i])))
+                    .map(|i| self.cell(vec![i, i + half], k.config(IdealOracle::default())))
                     .collect()
             })
             .collect();
         self.run_cells(sets)
-            .into_iter()
-            .map(|cells| cells.into_iter().collect())
-            .collect()
     }
 }
 

@@ -1,6 +1,7 @@
-//! Command-line usage errors: the `experiments` binary must answer a
+//! Command-line edge cases: the `experiments` binary must answer a
 //! malformed command line with its usage text on stderr and exit code 64
-//! (`EX_USAGE`), never a panic backtrace.
+//! (`EX_USAGE`), and a stdout reader that stops early with a quiet exit 0,
+//! never a panic backtrace.
 
 use std::process::Command;
 
@@ -65,4 +66,37 @@ fn missing_or_malformed_flag_values_exit_64() {
     for scale in ["inf", "NaN", "0", "-1", "1e9"] {
         assert_usage_error(&["cell", "x", "baseline", "--depth-scale", scale]);
     }
+}
+
+/// Runs the binary with stdout on a pipe whose read end is closed before
+/// the child starts, so its first write fails with a broken pipe, as under
+/// `experiments … | head -1` once `head` has exited.
+fn assert_quiet_on_closed_stdout(args: &[&str]) {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .env_remove("SIM_STORE")
+        .env_remove("SIM_IO_CHAOS")
+        .env_remove("RUST_BACKTRACE")
+        .stdout(writer)
+        .output()
+        .expect("run the experiments binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{args:?}: a closed stdout must exit 0, stderr:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+        "{args:?}: a closed stdout must end the run quietly:\n{stderr}"
+    );
+}
+
+#[test]
+fn closed_stdout_exits_0_quietly() {
+    assert_quiet_on_closed_stdout(&["list"]);
+    assert_quiet_on_closed_stdout(&["cell", "sysmark-chrome.t1", "baseline", "--len", "2000"]);
+    assert_quiet_on_closed_stdout(&["fig9a", "--quick", "--subset", "2"]);
 }

@@ -2,12 +2,15 @@
 //! figure text **byte-identical** to an uncached session, which runs every
 //! cell it is asked for through the same cell runner with no memo, no
 //! dedupe and no store — no matter how many figures share (and therefore
-//! reuse) the memoized session's caches.
+//! reuse) the memoized session's caches. Every figure's text is also held
+//! to the committed `tests/golden/figures.txt`.
 
-use experiments::{run_figure, MachineKind, MkOracleConfig, RunLength, SweepSession};
+use experiments::{run_figure, MachineKind, MkOracleConfig, RunLength, SweepSession, FIGURES};
 
 const N: RunLength = RunLength(6_000);
 const SUBSET: usize = 4;
+const FIGURES_GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/figures.txt");
+const BLESS_CMD: &str = "SIM_TRACE_BLESS=1 cargo test --release -p experiments --test sweep";
 
 /// Renders `ids` through one memoized session and through the uncached
 /// reference, asserting byte equality figure by figure.
@@ -23,6 +26,44 @@ fn assert_byte_identical(ids: &[&str]) {
             "{id}: memoized sweep output diverged from the uncached session"
         );
     }
+}
+
+/// The figure-text lock: every figure id, rendered through one memoized
+/// session, must equal the committed golden byte for byte. It pins what
+/// each figure prints (its rows, labels, number formats and the machines
+/// it compares), so a refactor of the figure code is proven to be one.
+/// With `SIM_TRACE_BLESS=1` the file is rewritten from the current build
+/// instead (review the diff before committing).
+#[test]
+fn every_figure_matches_the_committed_text() {
+    let specs = sim_workload::suite_subset(SUBSET);
+    let session = SweepSession::new(&specs, N);
+    let mut text = format!(
+        "# Figure text on suite_subset({SUBSET}) at {} instructions per thread.\n\
+         # Regenerate: ./ci.sh --bless\n",
+        N.0
+    );
+    for id in FIGURES {
+        text.push_str(&format!("================ {id} ================\n"));
+        text.push_str(&run_figure(id, &session));
+        text.push('\n');
+    }
+    if std::env::var_os("SIM_TRACE_BLESS").is_some() {
+        std::fs::write(FIGURES_GOLDEN_PATH, &text).expect("write the figure golden");
+        eprintln!(
+            "blessed {} figures into {FIGURES_GOLDEN_PATH}",
+            FIGURES.len()
+        );
+        return;
+    }
+    let committed = std::fs::read_to_string(FIGURES_GOLDEN_PATH).unwrap_or_else(|e| {
+        panic!("cannot read {FIGURES_GOLDEN_PATH}: {e}\nregenerate with: {BLESS_CMD}")
+    });
+    assert!(
+        committed == text,
+        "figure text diverged from {FIGURES_GOLDEN_PATH}; if intentional, regenerate with: \
+         {BLESS_CMD}\n--- computed ---\n{text}"
+    );
 }
 
 #[test]
