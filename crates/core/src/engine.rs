@@ -48,22 +48,45 @@ pub enum ResetReason {
     ContextSwitch,
 }
 
-/// Aggregate Constable statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ConstableStats {
-    pub loads_renamed: u64,
-    pub eliminated: u64,
-    pub marked_likely_stable: u64,
-    pub armed: u64,
-    pub xprf_full_forgone: u64,
-    pub resets_reg_write: u64,
-    pub resets_store: u64,
-    pub resets_snoop: u64,
-    pub resets_amt_conflict: u64,
-    pub resets_rmt_conflict: u64,
-    pub resets_l1_evict: u64,
-    pub resets_violation: u64,
-    pub cv_pins_requested: u64,
+/// Declares [`ConstableStats`] from one list of counter names: the struct,
+/// and its [`ConstableStats::counters`] / [`ConstableStats::counters_mut`]
+/// accessors in list order (the order the store's payload codec writes).
+macro_rules! constable_stats {
+    ($($name:ident,)*) => {
+        /// Aggregate Constable statistics.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct ConstableStats {
+            $(pub $name: u64,)*
+        }
+
+        impl ConstableStats {
+            /// Every counter, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = u64> {
+                [$(self.$name,)*].into_iter()
+            }
+
+            /// Mutable access to the counters, in declaration order.
+            pub fn counters_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+                [$(&mut self.$name,)*].into_iter()
+            }
+        }
+    };
+}
+
+constable_stats! {
+    loads_renamed,
+    eliminated,
+    marked_likely_stable,
+    armed,
+    xprf_full_forgone,
+    resets_reg_write,
+    resets_store,
+    resets_snoop,
+    resets_amt_conflict,
+    resets_rmt_conflict,
+    resets_l1_evict,
+    resets_violation,
+    cv_pins_requested,
 }
 
 /// The Constable mechanism (the paper's contribution).

@@ -22,11 +22,13 @@ use crate::configs::MachineKind::{self, *};
 use crate::fault::CellFailure;
 use crate::runner::{geomean_speedup, RunOutcome};
 use crate::sweep::{MkOracleConfig, SweepSession};
+use load_inspector::LoadReport;
 use sim_core::CoreConfig;
 use sim_isa::AddrMode;
 use sim_stats::{geomean, pct, speedup, BoxStats, Table};
 use sim_workload::Category;
 use std::iter::once;
+use std::sync::Arc;
 
 /// One table or figure of the paper.
 pub(crate) struct Figure {
@@ -141,8 +143,8 @@ pub(crate) const REGISTRY: &[Figure] = &[
     }),
     Figure::new("fig21", &[Baseline, Constable], fig21),
     Figure::new("fig22", &[Baseline, Constable, ConstableAmtI], fig22),
-    Figure::new("fig23", &[], fig23_24),
-    Figure::new("fig24", &[], fig23_24),
+    Figure::new("fig23", &[], fig23),
+    Figure::new("fig24", &[], fig24),
     Figure::new("table1", &[], table1),
     Figure::new("table3", &[], table3),
     Figure::new(
@@ -166,9 +168,13 @@ pub(crate) const REGISTRY: &[Figure] = &[
 
 // ------------------------------------------------------------ table shapes
 
+/// The cell of a category that has no workload in the suite.
+const EMPTY: &str = "-";
+
 /// A category × machine table: each suite's geomean speedup over `base`
 /// per category, one column per suite (headed by `headers`), and a
-/// GEOMEAN row over every workload.
+/// GEOMEAN row over every workload. A category with no workload shows
+/// `-`, not a speedup of one.
 fn speedup_by_category(
     title: &str,
     headers: &[&str],
@@ -183,8 +189,13 @@ fn speedup_by_category(
                 .iter()
                 .zip(base)
                 .filter(|(o, _)| o.category == cat)
-                .map(|(o, b)| o.ipc() / b.ipc());
-            speedup(geomean(sp))
+                .map(|(o, b)| o.ipc() / b.ipc())
+                .collect::<Vec<_>>();
+            if sp.is_empty() {
+                EMPTY.to_string()
+            } else {
+                speedup(geomean(sp))
+            }
         });
         t.row(once(cat.label().to_string()).chain(cells));
     }
@@ -230,7 +241,8 @@ fn labelled(suites: &[Suite]) -> impl Iterator<Item = (String, &[RunOutcome])> {
 
 /// A per-category table of column means with an AVG row over every
 /// workload. `samples` holds one `(category, columns)` per workload;
-/// `fmts` renders each column, one renderer per header.
+/// `fmts` renders each column, one renderer per header. A category with no
+/// workload shows `-`, not a mean of zero.
 fn category_means(
     title: &str,
     headers: &[&str],
@@ -247,7 +259,13 @@ fn category_means(
                 col.push(x);
             }
         }
-        let cells = fmts.iter().zip(&cols).map(|(f, c)| f(mean(c)));
+        let cells = fmts.iter().zip(&cols).map(|(f, c)| {
+            if c.is_empty() {
+                EMPTY.to_string()
+            } else {
+                f(mean(c))
+            }
+        });
         t.row(once(cat.label().to_string()).chain(cells));
         for (a, c) in all.iter_mut().zip(cols) {
             a.extend(c);
@@ -296,7 +314,7 @@ fn ratio(a: u64, b: u64) -> f64 {
 /// inter-occurrence distance distribution.
 fn fig3(session: &SweepSession<'_>, _: &[Suite]) -> Result<String, CellFailure> {
     let reports = session.reports();
-    let samples = |f: fn(&load_inspector::LoadReport) -> Vec<f64>| {
+    let samples = |f: fn(&LoadReport) -> Vec<f64>| {
         let cats = session.specs().iter().map(|s| s.category);
         cats.zip(&reports)
             .map(|(c, r)| (c, f(r)))
@@ -762,11 +780,19 @@ fn fig22(_: &SweepSession<'_>, suites: &[Suite]) -> Result<String, CellFailure> 
     ))
 }
 
-/// Figs 23–24: the APX (32 architectural registers) study.
-fn fig23_24(session: &SweepSession<'_>, _: &[Suite]) -> Result<String, CellFailure> {
-    let mut text = String::from(
-        "Fig 23: dynamic-load reduction and global-stable fraction without/with APX\n",
-    );
+/// Each workload's name and load-inspector report without and with APX
+/// (32 architectural registers): the samples of Figs 23 and 24.
+fn apx_study<'s>(session: &SweepSession<'s>) -> Vec<(&'s str, Arc<LoadReport>, Arc<LoadReport>)> {
+    let specs = session.specs().iter().map(|s| s.name.as_str());
+    specs
+        .zip(session.reports())
+        .zip(session.reports_apx())
+        .map(|((name, base), apx)| (name, base, apx))
+        .collect()
+}
+
+/// Fig 23: dynamic-load reduction and global-stable fraction under APX.
+fn fig23(session: &SweepSession<'_>, _: &[Suite]) -> Result<String, CellFailure> {
     let mut t = Table::new([
         "workload",
         "loads/kinst (base)",
@@ -775,46 +801,53 @@ fn fig23_24(session: &SweepSession<'_>, _: &[Suite]) -> Result<String, CellFailu
         "stable frac (base)",
         "stable frac (APX)",
     ]);
-    let modes = ["PC-rel", "Stack", "Reg"].map(|m| [format!("{m} base"), format!("{m} APX")]);
-    let mut mode_rows = Table::new(once("workload".to_string()).chain(modes.into_iter().flatten()));
-    // Per workload: load reduction (%), stable fraction base/APX, then
-    // the stack- and PC-relative shares base/APX.
-    let mut samples: Vec<[f64; 7]> = Vec::new();
-    let base_reports = session.reports();
-    let apx_reports = session.reports_apx();
-    for ((spec, rb), ra) in session.specs().iter().zip(&base_reports).zip(&apx_reports) {
+    // Per workload: load reduction (%), stable fraction base/APX.
+    let mut samples: Vec<[f64; 3]> = Vec::new();
+    for (name, rb, ra) in apx_study(session) {
         let red = 1.0 - ra.loads_per_kinst() / rb.loads_per_kinst().max(1e-9);
-        let (mb, ma) = (rb.mode_fracs(), ra.mode_fracs());
         let (fb, fa) = (rb.stable_dynamic_frac(), ra.stable_dynamic_frac());
-        samples.push([red * 100.0, fb, fa, mb[1], ma[1], mb[0], ma[0]]);
+        samples.push([red * 100.0, fb, fa]);
         t.row([
-            spec.name.clone(),
+            name.to_string(),
             format!("{:.1}", rb.loads_per_kinst()),
             format!("{:.1}", ra.loads_per_kinst()),
             format!("{:.1}%", red * 100.0),
             pct(fb),
             pct(fa),
         ]);
-        let shares = (0..3).flat_map(|m| [pct(mb[m]), pct(ma[m])]);
-        mode_rows.row(once(spec.name.clone()).chain(shares));
     }
-    let [red, fb, fa, stack_b, stack_a, pc_b, pc_a] = column_means(&samples);
-    text.push_str(&t.render());
-    text.push_str(&format!(
-        "\nAVG: load reduction {red:.1}% | stable frac base {} vs APX {}\n",
+    let [red, fb, fa] = column_means(&samples);
+    Ok(format!(
+        "Fig 23: dynamic-load reduction and global-stable fraction without/with APX\n{}\n\
+         AVG: load reduction {red:.1}% | stable frac base {} vs APX {}\n",
+        t.render(),
         pct(fb),
         pct(fa),
-    ));
-    text.push_str("\nFig 24: global-stable addressing-mode distribution without/with APX\n");
-    text.push_str(&mode_rows.render());
-    text.push_str(&format!(
-        "\nAVG: stack-relative {} -> {} | PC-relative {} -> {}\n",
+    ))
+}
+
+/// Fig 24: global-stable addressing-mode distribution under APX.
+fn fig24(session: &SweepSession<'_>, _: &[Suite]) -> Result<String, CellFailure> {
+    let modes = ["PC-rel", "Stack", "Reg"].map(|m| [format!("{m} base"), format!("{m} APX")]);
+    let mut t = Table::new(once("workload".to_string()).chain(modes.into_iter().flatten()));
+    // Per workload: the stack- and PC-relative shares base/APX.
+    let mut samples: Vec<[f64; 4]> = Vec::new();
+    for (name, rb, ra) in apx_study(session) {
+        let (mb, ma) = (rb.mode_fracs(), ra.mode_fracs());
+        samples.push([mb[1], ma[1], mb[0], ma[0]]);
+        let shares = (0..3).flat_map(|m| [pct(mb[m]), pct(ma[m])]);
+        t.row(once(name.to_string()).chain(shares));
+    }
+    let [stack_b, stack_a, pc_b, pc_a] = column_means(&samples);
+    Ok(format!(
+        "Fig 24: global-stable addressing-mode distribution without/with APX\n{}\n\
+         AVG: stack-relative {} -> {} | PC-relative {} -> {}\n",
+        t.render(),
         pct(stack_b),
         pct(stack_a),
         pct(pc_b),
         pct(pc_a),
-    ));
-    Ok(text)
+    ))
 }
 
 /// Table 1: storage overhead.

@@ -78,6 +78,22 @@ const fn figure_ids<const N: usize>() -> [&'static str; N] {
     ids
 }
 
+/// `eprintln!` through the crate's one stderr writer, [`write_stderr`].
+#[macro_export]
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        $crate::write_stderr(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stderr and ignores a failed write (a closed pipe above all):
+/// stderr carries only progress and diagnostics, so losing it must not
+/// end a sweep, and there is nowhere left to report the failure.
+pub fn write_stderr(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let _ = std::io::stderr().write_fmt(text);
+}
+
 fn figure(id: &str) -> Option<&'static figures::Figure> {
     figures::REGISTRY.iter().find(|f| f.id == id)
 }

@@ -42,11 +42,15 @@
 //! stderr), 74 stdout could not be written. A reader that stops early
 //! (`experiments list | head -2`) is not an error: the first write to the
 //! closed pipe ends the process quietly with exit 0, whatever ran before.
+//! Stderr carries only progress and diagnostics: a failed write there
+//! (`2>&1 | head`) is ignored and the run goes on.
 //!
 //! The `cell` subcommand reruns one (workload, machine) cell in isolation
 //! with full forensics — the repro vehicle the quarantine table points at.
 
-use experiments::{try_run_figure, MachineKind, RunLength, SweepSession, FIGURES, WATCHDOG_BUDGET};
+use experiments::{
+    errln, try_run_figure, MachineKind, RunLength, SweepSession, FIGURES, WATCHDOG_BUDGET,
+};
 use sim_core::{Core, TraceRecorder};
 
 /// Exit code of a malformed command line (BSD `EX_USAGE`), distinct from
@@ -84,7 +88,7 @@ fn write_stdout(text: std::fmt::Arguments<'_>) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
             std::process::exit(0);
         }
-        eprintln!("cannot write to stdout: {e}");
+        errln!("cannot write to stdout: {e}");
         std::process::exit(EX_IOERR);
     }
 }
@@ -98,9 +102,9 @@ const MAX_DEPTH_SCALE: f64 = 16.0;
 /// [`EX_USAGE`].
 fn usage_error(msg: &str, usage: &str) -> ! {
     if !msg.is_empty() {
-        eprintln!("{msg}");
+        errln!("{msg}");
     }
-    eprintln!("{usage}");
+    errln!("{usage}");
     std::process::exit(EX_USAGE);
 }
 
@@ -193,11 +197,11 @@ fn main() {
     if let Some(dir) = &store_dir {
         let plan = io_chaos.map(result_store::IoChaosPlan::new);
         if let Some(p) = &plan {
-            eprintln!("[io-chaos mode: seed {}]", p.seed());
+            errln!("[io-chaos mode: seed {}]", p.seed());
         }
         match result_store::ResultStore::open(std::path::Path::new(dir), plan) {
             Ok(store) => {
-                eprintln!("[store: {dir}]");
+                errln!("[store: {dir}]");
                 session = session.with_store(store);
             }
             Err(e) => {
@@ -205,7 +209,7 @@ fn main() {
                 // sweep (results stay correct) but still lands in the
                 // quarantine table — silent non-persistence would defeat
                 // the point of asking for a store.
-                eprintln!("[store: {dir} unusable: {e}]");
+                errln!("[store: {dir} unusable: {e}]");
                 session.record_store_failure(&experiments::CellFailure::from_store_error(
                     dir,
                     e.to_string(),
@@ -227,21 +231,24 @@ fn main() {
                 outln!("================ {id} ================");
                 outln!("QUARANTINED: {f}");
                 if !keep_going {
-                    eprintln!("[--fail-fast: stopping at the first quarantined figure]");
+                    errln!("[--fail-fast: stopping at the first quarantined figure]");
                     break;
                 }
             }
         }
-        eprintln!("[{id} took {:.1}s]", started.elapsed().as_secs_f64());
+        errln!("[{id} took {:.1}s]", started.elapsed().as_secs_f64());
     }
-    eprintln!(
+    errln!(
         "[sweep total {:.1}s]",
         sweep_started.elapsed().as_secs_f64()
     );
     if let Some(stats) = session.store_stats() {
-        eprintln!(
+        errln!(
             "[store: {} hits, {} misses, {} writes, {} quarantined]",
-            stats.hits, stats.misses, stats.writes, stats.quarantined
+            stats.hits,
+            stats.misses,
+            stats.writes,
+            stats.quarantined
         );
     }
     let failures = session.failures();

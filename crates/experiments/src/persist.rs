@@ -25,17 +25,26 @@
 //! ## Payload format (`PAYLOAD_VERSION`)
 //!
 //! A flat LE encoding of the verified-clean [`RunOutcome`]: workload name,
-//! category, per-thread retirement, and every `CoreStats` field: the
-//! scalar counters in declaration order, then the 13 Constable engine
-//! counters (`CoreStats::constable`, since version 2), the histogram as
-//! bounds/counts/raw sum, and the per-PC maps sorted by PC so encoding is
-//! deterministic. Only outcomes whose
+//! category, per-thread retirement, and every `CoreStats` field:
+//!
+//! ```text
+//! CoreStats::counters()              declaration order: digested group,
+//!                                    arm_guard_blocked, stall stack (v3)
+//! ConstableStats::counters()         the engine's counters (since v2)
+//! sld_updates_per_cycle              bounds, counts, raw sum
+//! per_pc_loads, vp_wrong_pcs         sorted by PC, so encoding is deterministic
+//! ```
+//!
+//! The codec walks the counter accessors, so it names no counter: a
+//! counter added to either list is persisted without a codec edit (but
+//! with a `PAYLOAD_VERSION` bump, enforced by `tests/payload_guard.rs`). A
+//! field that is not a counter must be added here by hand; the
+//! round-trip test compares whole `CoreStats` values. Only outcomes whose
 //! `SimResult::verify()` returned `Ok` are persisted, so the failure
 //! fields (`hit_cycle_guard`, `first_mismatch`, `watchdog`) are known
 //! clean and not serialised.
 
 use crate::runner::{RunLength, RunOutcome};
-use constable::ConstableStats;
 use result_store::StoreKey;
 use sim_core::{CoreConfig, CoreStats, SimResult};
 use sim_stats::Histogram;
@@ -44,7 +53,7 @@ use sim_workload::{Category, WorkloadSpec};
 /// Version of the payload byte layout. Bump on any codec change; old
 /// payloads then decode to [`PayloadError::Version`] and the cell
 /// recomputes as a miss.
-pub const PAYLOAD_VERSION: u8 = 2;
+pub const PAYLOAD_VERSION: u8 = 3;
 
 /// Assembles the stable store key of one sweep cell: the specs of every
 /// hardware thread (one for single-thread cells, two for an SMT2 pairing),
@@ -133,137 +142,16 @@ pub fn encode_outcome(outcome: &RunOutcome) -> Vec<u8> {
         put_u64(&mut out, r);
     }
 
-    // Exhaustive destructure: adding a CoreStats field breaks this build
-    // until the codec (and PAYLOAD_VERSION) is updated.
+    // Every counter in declaration order (the stall stack is the last of
+    // them), then the engine's.
     let CoreStats {
-        cycles,
-        retired,
-        retired_loads,
-        retired_stores,
-        retired_branches,
-        fetched,
-        fetched_wrong_path,
-        branch_mispredicts,
-        rob_allocs,
-        rs_allocs,
-        lb_allocs,
-        sb_allocs,
-        load_utilized_cycles,
-        load_cycles_stable_blocking,
-        load_cycles_stable_free,
-        loads_issued,
-        agu_uses,
-        vp_used,
-        vp_wrong,
-        mrn_forwarded,
-        mrn_wrong,
-        loads_eliminated,
-        elim_violations,
-        rename_stalls_sld_read,
-        rename_stalls_sld_write,
         sld_updates_per_cycle,
-        cv_pins,
-        arm_guard_blocked,
         constable,
-        elar_resolved,
-        rfp_address_hits,
-        ordering_violations,
-        golden_mismatches,
         per_pc_loads,
         vp_wrong_pcs,
-        l1d_accesses,
-        l2_accesses,
-        dram_accesses,
-        snoops_delivered,
-        decoded,
-        renamed,
-        alu_execs,
-        dtlb_accesses,
-        sld_reads,
-        sld_writes,
-        amt_probes,
-        eves_lookups,
+        ..
     } = stats;
-
-    for &v in [
-        cycles,
-        retired,
-        retired_loads,
-        retired_stores,
-        retired_branches,
-        fetched,
-        fetched_wrong_path,
-        branch_mispredicts,
-        rob_allocs,
-        rs_allocs,
-        lb_allocs,
-        sb_allocs,
-        load_utilized_cycles,
-        load_cycles_stable_blocking,
-        load_cycles_stable_free,
-        loads_issued,
-        agu_uses,
-        vp_used,
-        vp_wrong,
-        mrn_forwarded,
-        mrn_wrong,
-        loads_eliminated,
-        elim_violations,
-        rename_stalls_sld_read,
-        rename_stalls_sld_write,
-        cv_pins,
-        arm_guard_blocked,
-        elar_resolved,
-        rfp_address_hits,
-        ordering_violations,
-        golden_mismatches,
-        l1d_accesses,
-        l2_accesses,
-        dram_accesses,
-        snoops_delivered,
-        decoded,
-        renamed,
-        alu_execs,
-        dtlb_accesses,
-        sld_reads,
-        sld_writes,
-        amt_probes,
-        eves_lookups,
-    ] {
-        put_u64(&mut out, v);
-    }
-
-    // The engine's counters, behind their own exhaustive destructure.
-    let ConstableStats {
-        loads_renamed,
-        eliminated,
-        marked_likely_stable,
-        armed,
-        xprf_full_forgone,
-        resets_reg_write,
-        resets_store,
-        resets_snoop,
-        resets_amt_conflict,
-        resets_rmt_conflict,
-        resets_l1_evict,
-        resets_violation,
-        cv_pins_requested,
-    } = constable;
-    for &v in [
-        loads_renamed,
-        eliminated,
-        marked_likely_stable,
-        armed,
-        xprf_full_forgone,
-        resets_reg_write,
-        resets_store,
-        resets_snoop,
-        resets_amt_conflict,
-        resets_rmt_conflict,
-        resets_l1_evict,
-        resets_violation,
-        cv_pins_requested,
-    ] {
+    for v in stats.counters().chain(constable.counters()) {
         put_u64(&mut out, v);
     }
 
@@ -369,74 +257,11 @@ pub fn decode_outcome(payload: &[u8]) -> Result<RunOutcome, PayloadError> {
     }
 
     let mut stats = CoreStats::default();
-    {
-        let slots: [&mut u64; 43] = [
-            &mut stats.cycles,
-            &mut stats.retired,
-            &mut stats.retired_loads,
-            &mut stats.retired_stores,
-            &mut stats.retired_branches,
-            &mut stats.fetched,
-            &mut stats.fetched_wrong_path,
-            &mut stats.branch_mispredicts,
-            &mut stats.rob_allocs,
-            &mut stats.rs_allocs,
-            &mut stats.lb_allocs,
-            &mut stats.sb_allocs,
-            &mut stats.load_utilized_cycles,
-            &mut stats.load_cycles_stable_blocking,
-            &mut stats.load_cycles_stable_free,
-            &mut stats.loads_issued,
-            &mut stats.agu_uses,
-            &mut stats.vp_used,
-            &mut stats.vp_wrong,
-            &mut stats.mrn_forwarded,
-            &mut stats.mrn_wrong,
-            &mut stats.loads_eliminated,
-            &mut stats.elim_violations,
-            &mut stats.rename_stalls_sld_read,
-            &mut stats.rename_stalls_sld_write,
-            &mut stats.cv_pins,
-            &mut stats.arm_guard_blocked,
-            &mut stats.elar_resolved,
-            &mut stats.rfp_address_hits,
-            &mut stats.ordering_violations,
-            &mut stats.golden_mismatches,
-            &mut stats.l1d_accesses,
-            &mut stats.l2_accesses,
-            &mut stats.dram_accesses,
-            &mut stats.snoops_delivered,
-            &mut stats.decoded,
-            &mut stats.renamed,
-            &mut stats.alu_execs,
-            &mut stats.dtlb_accesses,
-            &mut stats.sld_reads,
-            &mut stats.sld_writes,
-            &mut stats.amt_probes,
-            &mut stats.eves_lookups,
-        ];
-        for slot in slots {
-            *slot = cur.u64()?;
-        }
-        let c = &mut stats.constable;
-        let slots: [&mut u64; 13] = [
-            &mut c.loads_renamed,
-            &mut c.eliminated,
-            &mut c.marked_likely_stable,
-            &mut c.armed,
-            &mut c.xprf_full_forgone,
-            &mut c.resets_reg_write,
-            &mut c.resets_store,
-            &mut c.resets_snoop,
-            &mut c.resets_amt_conflict,
-            &mut c.resets_rmt_conflict,
-            &mut c.resets_l1_evict,
-            &mut c.resets_violation,
-            &mut c.cv_pins_requested,
-        ];
-        for slot in slots {
-            *slot = cur.u64()?;
-        }
+    for slot in stats.counters_mut() {
+        *slot = cur.u64()?;
+    }
+    for slot in stats.constable.counters_mut() {
+        *slot = cur.u64()?;
     }
 
     let nbounds = cur.count(1 << 12)?;

@@ -789,7 +789,7 @@ fn store_put(store: &SharedStore, key: &StoreKey, outcome: &RunOutcome) {
     if let Some(store) = store.lock().expect("store lock").as_mut() {
         let payload = persist::encode_outcome(outcome);
         if let Err(e) = store.put(key, &payload, outcome.result.stats_digest()) {
-            eprintln!("[store: write failed for {}: {e}]", outcome.workload);
+            crate::errln!("[store: write failed for {}: {e}]", outcome.workload);
         }
     }
 }

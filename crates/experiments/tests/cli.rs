@@ -1,7 +1,7 @@
 //! Command-line edge cases: the `experiments` binary must answer a
 //! malformed command line with its usage text on stderr and exit code 64
-//! (`EX_USAGE`), and a stdout reader that stops early with a quiet exit 0,
-//! never a panic backtrace.
+//! (`EX_USAGE`), a stdout reader that stops early with a quiet exit 0,
+//! never a panic backtrace, and a closed stderr by carrying on.
 
 use std::process::Command;
 
@@ -99,4 +99,32 @@ fn closed_stdout_exits_0_quietly() {
     assert_quiet_on_closed_stdout(&["list"]);
     assert_quiet_on_closed_stdout(&["cell", "sysmark-chrome.t1", "baseline", "--len", "2000"]);
     assert_quiet_on_closed_stdout(&["fig9a", "--quick", "--subset", "2"]);
+}
+
+/// Runs the binary with stderr on a pipe whose read end is closed before
+/// the child starts, so every progress line (`[fig9a took …]`) fails with
+/// a broken pipe. Stderr is diagnostics only: the run must finish and
+/// print its figure.
+#[test]
+fn closed_stderr_still_runs_to_the_end() {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig9a", "--quick", "--subset", "2"])
+        .env_remove("SIM_STORE")
+        .env_remove("SIM_IO_CHAOS")
+        .env_remove("RUST_BACKTRACE")
+        .stderr(writer)
+        .output()
+        .expect("run the experiments binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "a closed stderr must not fail the run, stdout:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("================ fig9a") && stdout.contains("AVG"),
+        "the figure must still be printed:\n{stdout}"
+    );
 }

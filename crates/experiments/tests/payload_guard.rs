@@ -25,6 +25,9 @@ const PINS: &[(u8, usize, u64, usize, u64)] = &[
     (1, 499, 0xbb04_7718_7f23_a5e7, 520, 0x6f07_a29e_0bf3_3a46),
     // v2: the 13 Constable engine counters (`CoreStats::constable`).
     (2, 603, 0x1646_6d82_792e_44b9, 624, 0x758c_8771_30ae_7c19),
+    // v3: counters in declaration order (digested group, then
+    // `arm_guard_blocked` and the stall stack), `dtlb_accesses` gone.
+    (3, 643, 0xa46a_444f_7636_5206, 664, 0x86b6_de32_2f44_0cac),
 ];
 
 /// Runs one quick cell of `names` (one workload, or an SMT2 pair) on the

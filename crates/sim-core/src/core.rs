@@ -49,8 +49,8 @@
 use crate::config::CoreConfig;
 use crate::pctab::PcCountTable;
 use crate::sched::{FrontendRotor, SimScratch, ThreadScratch};
-use crate::stats::CoreStats;
-use crate::trace::{self, StallClass, TraceRecorder, TraceSummary, UopTrace};
+use crate::stats::{CoreStats, StallClass};
+use crate::trace::{self, TraceRecorder, TraceSummary, UopTrace};
 use crate::uop::{Fetched, Tag, Uop, UopStamps, UopState};
 use constable::{Constable, IdealConfig, LoadRename, StackState, XprfSlot};
 use sim_isa::{AluOp, ArchReg, BranchKind, DynInst, InstClass, OpKind, Pc};
@@ -268,8 +268,10 @@ impl SimResult {
     /// the trace-oracle golden rows. The SLD updates-per-cycle histogram
     /// is folded shape-first: it is recorded per rename cycle, so it is
     /// sensitive to the idle fast-forward in a way no scalar counter is.
-    /// `arm_guard_blocked` and the engine's own `constable` counters stay
-    /// out, so adding them moved no committed digest.
+    /// The counters folded are the `digested` group of [`CoreStats`], in
+    /// declaration order; the `kept_out` group and the engine's own
+    /// `constable` counters stay out, so adding them moved no committed
+    /// digest.
     pub fn stats_digest(&self) -> u64 {
         let s = &self.stats;
         let hist = &s.sld_updates_per_cycle;
@@ -277,50 +279,8 @@ impl SimResult {
         d.update_all(hist.bucket_counts().iter().copied());
         d.update(hist.total());
         d.update(hist.mean().to_bits());
-        d.update_all([
-            s.cycles,
-            s.retired,
-            s.retired_loads,
-            s.retired_stores,
-            s.retired_branches,
-            s.fetched,
-            s.fetched_wrong_path,
-            s.branch_mispredicts,
-            s.rob_allocs,
-            s.rs_allocs,
-            s.lb_allocs,
-            s.sb_allocs,
-            s.load_utilized_cycles,
-            s.load_cycles_stable_blocking,
-            s.load_cycles_stable_free,
-            s.loads_issued,
-            s.agu_uses,
-            s.alu_execs,
-            s.vp_used,
-            s.vp_wrong,
-            s.mrn_forwarded,
-            s.mrn_wrong,
-            s.loads_eliminated,
-            s.elim_violations,
-            s.ordering_violations,
-            s.golden_mismatches,
-            s.l1d_accesses,
-            s.l2_accesses,
-            s.dram_accesses,
-            s.snoops_delivered,
-            s.sld_reads,
-            s.sld_writes,
-            s.amt_probes,
-            s.cv_pins,
-            s.rename_stalls_sld_read,
-            s.rename_stalls_sld_write,
-            s.elar_resolved,
-            s.rfp_address_hits,
-            s.eves_lookups,
-            s.decoded,
-            s.renamed,
-            self.ipc().to_bits(),
-        ]);
+        d.update_all(s.counters().take(CoreStats::DIGESTED));
+        d.update(self.ipc().to_bits());
         d.update(self.retired_per_thread.len() as u64);
         d.update_all(self.retired_per_thread.iter().copied());
         d.finish()
@@ -513,7 +473,8 @@ impl<'p> Core<'p> {
     /// Seals and returns the attached trace, if any (valid after
     /// [`Core::run`]).
     pub fn take_trace(&mut self) -> Option<TraceSummary> {
-        self.tracer.take().map(TraceRecorder::into_summary)
+        let stack = self.stats.stall_cycles;
+        self.tracer.take().map(|t| t.into_summary(stack))
     }
 
     /// Dismantles the core, returning its reusable allocations — including
@@ -548,16 +509,12 @@ impl<'p> Core<'p> {
             self.issue_phase();
             self.rename_phase();
             self.fetch_phase();
-            if self.tracer.is_some() {
-                let cls = if self.cycle_work {
-                    StallClass::Active
-                } else {
-                    self.classify_idle()
-                };
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.record_cycles(cls, 1);
-                }
-            }
+            let cls = if self.cycle_work {
+                StallClass::Active
+            } else {
+                self.classify_idle()
+            };
+            let mut span = 1;
             // Event-driven fast-forward: a cycle in which no phase did any
             // work leaves the core's state frozen — nothing can change
             // until the next time-gated event (a completion, the end of a
@@ -598,17 +555,17 @@ impl<'p> Core<'p> {
                         self.stats.sld_updates_per_cycle.record_n(0, skipped);
                     }
                     // The skipped cycles are frozen replicas of the idle
-                    // cycle just classified; record them in bulk under the
-                    // same class (run-length compressed, so the digest is
-                    // identical to recording them one by one).
-                    if skipped > 0 && self.tracer.is_some() {
-                        let cls = self.classify_idle();
-                        if let Some(tr) = self.tracer.as_mut() {
-                            tr.record_cycles(cls, skipped);
-                        }
-                    }
+                    // cycle just classified: they count under its class.
+                    span += skipped;
                     self.now = next - 1;
                 }
+            }
+            // Every cycle lands in the stall stack, so it sums to `cycles`.
+            // The tracer's stream is run-length compressed, so recording a
+            // span at once digests like recording its cycles one by one.
+            self.stats.stall_cycles[cls as usize] += span;
+            if let Some(tr) = self.tracer.as_mut() {
+                tr.record_cycles(cls, span);
             }
             self.now += 1;
             // Forward-progress watchdog: a run in which no thread retires
@@ -641,7 +598,6 @@ impl<'p> Core<'p> {
         // Fold hierarchy counters into the core stats.
         let h = self.mem.stats();
         self.stats.l1d_accesses = h.loads.get() + h.stores.get();
-        self.stats.dtlb_accesses = self.stats.l1d_accesses;
         let (_, l2, _) = self.mem.cache_stats();
         self.stats.l2_accesses = l2.accesses.get();
         self.stats.dram_accesses = h.dram_accesses.get();
@@ -1901,7 +1857,9 @@ impl<'p> Core<'p> {
                     if let Some(mem) = inst.mem_ref() {
                         let stack = u.stack_after;
                         let (paddr, pc_t) = (u.addr, u.pc);
-                        let pin = c.on_load_writeback(
+                        // The engine counts CV pins (`cv_pins_requested`);
+                        // `seal_result` copies them into `cv_pins`.
+                        c.on_load_writeback(
                             pc_t,
                             mem,
                             paddr,
@@ -1909,9 +1867,6 @@ impl<'p> Core<'p> {
                             likely_stable && arm_ok,
                             stack,
                         );
-                        if pin {
-                            self.stats.cv_pins += 1;
-                        }
                     }
                 }
             }

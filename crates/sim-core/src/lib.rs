@@ -32,6 +32,6 @@ pub use fault::{FrozenSnapshot, GoldenMismatch, SimError};
 pub use hash::FastHashMap;
 pub use sched::SimScratch;
 pub use sim_mem::TraceDigest;
-pub use stats::CoreStats;
-pub use trace::{StallClass, TraceRecorder, TraceSummary, UopTrace, NO_CYCLE};
+pub use stats::{CoreStats, StallClass};
+pub use trace::{TraceRecorder, TraceSummary, UopTrace, NO_CYCLE};
 pub use uop::{Fetched, Tag, Uop, UopState};

@@ -2,16 +2,21 @@
 //!
 //! A [`TraceRecorder`] attached to a [`crate::Core`] observes every retired
 //! µop's pipeline timestamps (fetch, rename, issue, complete, retire
-//! cycles), its global issue order, and a per-cycle stall classification of
-//! the whole run. The observations fold into:
+//! cycles), its global issue order, and the run-length-encoded stream of
+//! per-cycle stall classes. The observations fold into:
 //!
 //! * a **full trace** ([`UopTrace`] records, kept only when requested) for
 //!   test-time diffing — the first diverging µop pinpoints a scheduling
 //!   regression to one instruction;
 //! * a **compact digest**: one 64-bit content hash (the shared
 //!   [`TraceDigest`] stream format) plus a retire-latency histogram and
-//!   per-class stall-cycle counts, cheap enough to commit as golden files
-//!   across a workload × configuration matrix.
+//!   the run's stall stack, cheap enough to commit as golden files across
+//!   a workload × configuration matrix.
+//!
+//! The stall stack itself is not the recorder's: the core classifies every
+//! cycle with or without a tracer and counts it in
+//! [`crate::CoreStats::stall_cycles`]; the recorder only keeps the order
+//! of the classes, and [`crate::Core::take_trace`] folds the stack in.
 //!
 //! This is the correctness lock the scheduler refactors bank on: instead of
 //! maintaining a second live scheduler implementation as a reference, the
@@ -25,6 +30,7 @@
 //! write the slot), and every recorder call site is behind an
 //! `Option<TraceRecorder>` that is `None` by default.
 
+use crate::stats::StallClass;
 use sim_mem::TraceDigest;
 use sim_stats::Histogram;
 
@@ -33,46 +39,6 @@ const RETIRE_LATENCY_BOUNDS: [u64; 9] = [4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
 /// Cycle-number sentinel for "never happened" (e.g. issue of a folded µop).
 pub const NO_CYCLE: u64 = u64::MAX;
-
-/// Why a simulated cycle made no forward progress (or that it did).
-///
-/// Classification is a pure function of the core's frozen state, so a span
-/// of idle cycles the event-driven fast-forward skips classifies exactly as
-/// the same cycles executed one by one — the shortcut-validation tests rely
-/// on this to compare shortcut-enabled and shortcut-disabled digests.
-///
-/// Under SMT2 a class describes the whole core with the dominant blocker
-/// winning: a cycle is [`StallClass::Memory`] when *any* thread's oldest
-/// unretired µop is an issued load (the DRAM-bound sibling gates how long
-/// the core idles, regardless of what the other thread waits on), and the
-/// window counts as empty only when *every* thread's is. The per-thread
-/// disjunction keeps classification span-constant, so SMT2 fast-forward
-/// spans bulk-record exactly like single-thread ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum StallClass {
-    /// Some phase did work this cycle (fetched, renamed, issued, completed,
-    /// retired, or flushed something).
-    Active = 0,
-    /// Rename is stalled waiting out SLD write-port pressure.
-    RenameBlocked = 1,
-    /// The oldest unretired µop (of any thread, under SMT) is an issued
-    /// load still in the memory hierarchy.
-    Memory = 2,
-    /// The oldest unretired µop is issued (non-load) or waiting on
-    /// producers/ports: backend execution latency.
-    Execution = 3,
-    /// The window is empty (every thread's, under SMT) and fetch is riding
-    /// out a redirect.
-    FetchRedirect = 4,
-    /// The window is empty and the front end delivered nothing.
-    FrontEnd = 5,
-}
-
-impl StallClass {
-    /// Number of classes (array sizing).
-    pub const COUNT: usize = 6;
-}
 
 /// One retired µop's scheduling observation. `NO_CYCLE` marks stages the
 /// µop never passed through (folded/eliminated µops never issue).
@@ -141,7 +107,6 @@ pub struct TraceRecorder {
     records: Vec<UopTrace>,
     digest: TraceDigest,
     retire_latency: Histogram,
-    stall_cycles: [u64; StallClass::COUNT],
     /// Run-length state for the per-cycle class stream: (class, count).
     pending: Option<(StallClass, u64)>,
     uops: u64,
@@ -163,7 +128,6 @@ impl TraceRecorder {
             records: Vec::new(),
             digest: TraceDigest::new(),
             retire_latency: Histogram::new(&RETIRE_LATENCY_BOUNDS),
-            stall_cycles: [0; StallClass::COUNT],
             pending: None,
             uops: 0,
         }
@@ -184,7 +148,6 @@ impl TraceRecorder {
     /// before digesting, so a fast-forwarded span folds identically to the
     /// same cycles recorded one at a time.
     pub(crate) fn record_cycles(&mut self, cls: StallClass, n: u64) {
-        self.stall_cycles[cls as usize] += n;
         match &mut self.pending {
             Some((p, count)) if *p == cls => *count += n,
             _ => {
@@ -201,21 +164,22 @@ impl TraceRecorder {
         }
     }
 
-    /// Seals the trace into a summary. Called by
-    /// [`crate::Core::take_trace`] after the run.
-    pub(crate) fn into_summary(mut self) -> TraceSummary {
+    /// Seals the trace into a summary with the run's stall stack
+    /// (`CoreStats::stall_cycles`). Called by [`crate::Core::take_trace`]
+    /// after the run.
+    pub(crate) fn into_summary(mut self, stall_cycles: [u64; StallClass::COUNT]) -> TraceSummary {
         self.flush_run();
         // Fold the aggregates so the single digest word also locks the
         // histogram and the stall distribution.
         self.digest.update(self.uops);
         self.digest
             .update_all(self.retire_latency.bucket_counts().iter().copied());
-        self.digest.update_all(self.stall_cycles);
+        self.digest.update_all(stall_cycles);
         TraceSummary {
             digest: self.digest.finish(),
             uops: self.uops,
             retire_latency: self.retire_latency,
-            stall_cycles: self.stall_cycles,
+            stall_cycles,
             records: self.records,
         }
     }
@@ -298,9 +262,9 @@ mod tests {
         let mut batched = TraceRecorder::new();
         batched.record_cycles(StallClass::Memory, 3);
         batched.record_cycles(StallClass::Active, 1);
-        let (a, b) = (one_by_one.into_summary(), batched.into_summary());
+        let stack = [1, 0, 3, 0, 0, 0];
+        let (a, b) = (one_by_one.into_summary(stack), batched.into_summary(stack));
         assert_eq!(a.digest, b.digest);
-        assert_eq!(a.stall_cycles, b.stall_cycles);
     }
 
     #[test]
@@ -323,7 +287,9 @@ mod tests {
             let mut t = TraceRecorder::new();
             t.record_retire(r);
             t.record_cycles(cls, 2);
-            t.into_summary()
+            let mut stack = [0; StallClass::COUNT];
+            stack[cls as usize] = 2;
+            t.into_summary(stack)
         };
         let base = summary(rec, StallClass::Memory);
         assert_eq!(base.uops, 1);
@@ -337,7 +303,9 @@ mod tests {
     fn golden_line_shape() {
         let mut t = TraceRecorder::new();
         t.record_cycles(StallClass::Active, 5);
-        let line = t.into_summary().golden_line("baseline/w0");
+        let line = t
+            .into_summary([5, 0, 0, 0, 0, 0])
+            .golden_line("baseline/w0");
         let cols: Vec<&str> = line.split_whitespace().collect();
         assert_eq!(cols.len(), 5);
         assert_eq!(cols[0], "baseline/w0");
@@ -373,7 +341,7 @@ mod tests {
             }
             t.record_retire(r);
         }
-        let s = t.into_summary();
+        let s = t.into_summary([0; StallClass::COUNT]);
         assert_eq!(s.records.len(), 4);
         assert!(s.records.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(s.records[2].issued_at, NO_CYCLE);

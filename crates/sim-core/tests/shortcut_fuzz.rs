@@ -7,7 +7,9 @@
 //! runs once with the shortcuts enabled and once with them force-disabled
 //! (`CoreConfig::event_shortcuts = false`) and the two full traces — every
 //! retired µop's timestamps and issue order, plus the per-cycle stall
-//! stream — must be bit-identical.
+//! stream — must be bit-identical, as must the stall stack each run's
+//! `CoreStats` carries. Every run's stack must also close: its classes sum
+//! to the run's cycles, traced or not.
 //!
 //! Two shapes are fuzzed: single-thread runs, and SMT2 program pairs —
 //! the configuration the parity-free frontend rotor opened to the idle
@@ -19,7 +21,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sim_core::{Core, CoreConfig, TraceRecorder, TraceSummary};
+use sim_core::{Core, CoreConfig, SimResult, TraceRecorder, TraceSummary};
 use sim_workload::{memory_stress, suite, WorkloadSpec};
 
 const CASES: u64 = 12;
@@ -71,22 +73,39 @@ fn random_workload(rng: &mut SmallRng) -> WorkloadSpec {
     }
 }
 
-fn traced_run(program: &sim_workload::Program, cfg: CoreConfig) -> TraceSummary {
+/// One traced run: its result (which carries the stall stack) and its
+/// full trace.
+type Traced = (SimResult, TraceSummary);
+
+fn traced_run(program: &sim_workload::Program, cfg: CoreConfig) -> Traced {
     traced_run_multi(&[program], cfg, N)
 }
 
-fn traced_run_multi(programs: &[&sim_workload::Program], cfg: CoreConfig, n: u64) -> TraceSummary {
+fn traced_run_multi(programs: &[&sim_workload::Program], cfg: CoreConfig, n: u64) -> Traced {
     let mut core = Core::new_multi(programs.to_vec(), cfg);
     core.attach_tracer(TraceRecorder::with_full_trace(true));
+    let r = checked_run(&mut core, n);
+    (r, core.take_trace().expect("tracer attached"))
+}
+
+/// Runs `core` to `n` retired per thread, asserting a clean run whose
+/// stall stack sums to its cycles.
+fn checked_run(core: &mut Core<'_>, n: u64) -> SimResult {
     let r = core.run(n);
     assert!(!r.hit_cycle_guard, "cycle guard tripped");
     assert_eq!(r.stats.golden_mismatches, 0);
-    core.take_trace().expect("tracer attached")
+    assert_eq!(
+        r.stats.stall_cycles.iter().sum::<u64>(),
+        r.stats.cycles,
+        "the stall stack must account for every cycle: {:?}",
+        r.stats.stall_cycles
+    );
+    r
 }
 
 /// Asserts two full traces are bit-identical, reporting the first
-/// diverging µop record (and then the stall stream / digest) on failure.
-fn assert_traces_identical(fast: &TraceSummary, plain: &TraceSummary, ctx: &str) {
+/// diverging µop record (and then the stall stack / digest) on failure.
+fn assert_traces_identical((fast_run, fast): &Traced, (plain_run, plain): &Traced, ctx: &str) {
     // Localize before comparing the digest: the first diverging record
     // names the exact µop the shortcuts mis-skipped around.
     assert_eq!(fast.records.len(), plain.records.len(), "{ctx}: uop count");
@@ -94,7 +113,7 @@ fn assert_traces_identical(fast: &TraceSummary, plain: &TraceSummary, ctx: &str)
         assert_eq!(f, p, "{ctx}: first divergence at retired uop {i}");
     }
     assert_eq!(
-        fast.stall_cycles, plain.stall_cycles,
+        fast_run.stats.stall_cycles, plain_run.stats.stall_cycles,
         "{ctx}: stall classification"
     );
     assert_eq!(fast.digest, plain.digest, "{ctx}: digest");
@@ -167,5 +186,37 @@ fn shortcuts_are_trace_invisible_on_smt2_program_pairs() {
             cfg.rob_size,
         );
         assert_traces_identical(&fast, &plain, &ctx);
+    }
+}
+
+/// The stall stack needs no tracer: untraced single-thread and SMT2 runs
+/// close their cycle accounting with the shortcuts on and off, and the
+/// two stacks agree.
+#[test]
+fn untraced_stall_stacks_close_and_ignore_the_shortcuts() {
+    let specs = sim_workload::suite_subset(2);
+    let (a, b) = (specs[0].build(), specs[1].build());
+    let single: &[&sim_workload::Program] = &[&a];
+    let smt2: &[&sim_workload::Program] = &[&a, &b];
+    for cfg in [
+        CoreConfig::golden_cove_like(),
+        CoreConfig::golden_cove_like().with_constable(),
+    ] {
+        for programs in [single, smt2] {
+            let n = N / programs.len() as u64;
+            let stacks = [true, false].map(|shortcuts| {
+                let mut cfg = cfg.clone();
+                cfg.event_shortcuts = shortcuts;
+                let mut core = Core::new_multi(programs.to_vec(), cfg);
+                checked_run(&mut core, n).stats.stall_cycles
+            });
+            assert_eq!(
+                stacks[0],
+                stacks[1],
+                "{} thread(s), constable={}: shortcuts moved the stack",
+                programs.len(),
+                cfg.constable.is_some()
+            );
+        }
     }
 }

@@ -130,7 +130,8 @@ pub fn core_energy(stats: &CoreStats, units: ActiveUnits, p: &EnergyParams) -> P
         ooo_rob: f(stats.rob_allocs) * p.rob_alloc_pj + f(stats.retired) * p.rob_retire_pj,
         eu: f(stats.alu_execs) * p.alu_pj + f(stats.agu_uses) * p.agu_pj,
         meu_l1d: f(stats.l1d_accesses) * p.l1d_pj,
-        meu_dtlb: f(stats.dtlb_accesses) * p.dtlb_pj,
+        // Every L1-D access translates through the DTLB.
+        meu_dtlb: f(stats.l1d_accesses) * p.dtlb_pj,
         others: f(stats.cycles) * p.background_pj_per_cycle,
     };
     if units.constable {
@@ -181,7 +182,6 @@ mod tests {
             alu_execs: 600,
             agu_uses: 350,
             l1d_accesses: l1,
-            dtlb_accesses: l1,
             ..CoreStats::default()
         }
     }
