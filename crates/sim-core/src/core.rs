@@ -366,6 +366,16 @@ pub struct Core<'p> {
 // Thin alias so the field reads naturally.
 type Rfp2 = sim_predictors::Rfp;
 
+/// The cycle at which [`Core::run`] gives up on a run of
+/// `target_per_thread` instructions per thread: 400 cycles per instruction
+/// plus 2 M of slack, saturating so a huge target cannot wrap it into a
+/// small guard that trips on a healthy run.
+fn cycle_guard(target_per_thread: u64) -> u64 {
+    target_per_thread
+        .saturating_mul(400)
+        .saturating_add(2_000_000)
+}
+
 impl<'p> Core<'p> {
     /// Creates a single-threaded core running `program`.
     pub fn new(program: &'p Program, cfg: CoreConfig) -> Self {
@@ -383,7 +393,8 @@ impl<'p> Core<'p> {
     }
 
     /// Like [`Core::new_multi`], but reusing `scratch`'s allocations (the
-    /// µop slab, free list, event heap, and per-cycle buffers). Recover the
+    /// µop slab, free list, event heap, per-cycle buffers, and the memory
+    /// hierarchy when its config is unchanged). Recover the
     /// scratch with [`Core::into_scratch`] after the run; a worker that
     /// loops (build → run → recycle) performs no steady-state window
     /// allocation across an entire suite.
@@ -427,7 +438,7 @@ impl<'p> Core<'p> {
             .collect();
         let nthreads = threads.len();
         Core {
-            mem: MemoryHierarchy::new(cfg.mem),
+            mem: scratch.take_mem(cfg.mem),
             tage: (0..nthreads).map(|_| Tage::new()).collect(),
             eves: cfg.eves.then(Eves::new),
             mrn: cfg.mrn.then(Mrn::new),
@@ -479,7 +490,8 @@ impl<'p> Core<'p> {
 
     /// Dismantles the core, returning its reusable allocations — including
     /// each thread's ROB, store/load rings, ready set, IDQ, and
-    /// fetched-ahead buffer.
+    /// fetched-ahead buffer, and the memory hierarchy (reset when the next
+    /// run takes it).
     pub fn into_scratch(self) -> SimScratch {
         SimScratch {
             window: self.window,
@@ -492,6 +504,7 @@ impl<'p> Core<'p> {
             evictions: self.evict,
             inflight_loads: self.inflight_loads,
             threads: self.threads.into_iter().map(Thread::into_scratch).collect(),
+            mem: Some(self.mem),
         }
     }
 
@@ -499,7 +512,7 @@ impl<'p> Core<'p> {
     /// (or a generous cycle guard trips, or the forward-progress watchdog
     /// aborts with a frozen snapshot).
     pub fn run(&mut self, target_per_thread: u64) -> SimResult {
-        let guard = 400 * target_per_thread + 2_000_000;
+        let guard = cycle_guard(target_per_thread);
         let mut hit_guard = false;
         let mut watchdog = None;
         while self.threads.iter().any(|t| t.retired < target_per_thread) {
@@ -2247,5 +2260,36 @@ impl<'p> Core<'p> {
                 self.flush_from(vtid, v);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CoreConfig;
+
+    #[test]
+    fn cycle_guard_saturates_instead_of_wrapping() {
+        assert_eq!(cycle_guard(0), 2_000_000);
+        assert_eq!(cycle_guard(40_000), 18_000_000);
+        assert_eq!(cycle_guard(u64::MAX), u64::MAX);
+        // A target whose unchecked guard wrapped to about 2 M cycles.
+        assert_eq!(cycle_guard(46_116_860_184_273_880), u64::MAX);
+    }
+
+    #[test]
+    fn unchanged_mem_config_reuses_the_hierarchy_allocation() {
+        let program = sim_workload::suite_subset(2)[0].build();
+        let run = |scratch: SimScratch| {
+            let mut core =
+                Core::new_multi_with_scratch(vec![&program], CoreConfig::default(), scratch);
+            core.run(2_000);
+            core.into_scratch()
+        };
+        let scratch = run(SimScratch::new());
+        let first = scratch.mem.as_ref().expect("banked").tag_buffer_addr();
+        let scratch = run(scratch);
+        let second = scratch.mem.as_ref().expect("banked").tag_buffer_addr();
+        assert_eq!(first, second, "an equal MemConfig must reuse the tag array");
     }
 }

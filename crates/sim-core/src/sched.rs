@@ -15,10 +15,12 @@
 //!   issue touches ready µops only. Sorted-`Vec` backed: unlike the B-tree
 //!   it replaced, inserts allocate nothing at steady state.
 //! * [`SimScratch`] — every core-lifetime allocation (the µop slab, free
-//!   list, event heap, scratch buffers, the L1-eviction sink, and the
-//!   in-flight-load count table) bundled so a suite runner can hand the
-//!   same memory to consecutive simulations (zero steady-state allocation
-//!   across runs).
+//!   list, event heap, scratch buffers, the L1-eviction sink, the
+//!   in-flight-load count table, and the memory hierarchy's cache, DRAM
+//!   and prefetcher tables) bundled so a suite runner can hand the same
+//!   memory to consecutive simulations (zero steady-state allocation
+//!   across runs; the hierarchy is reset in proportion to what the last
+//!   run filled instead of being rebuilt).
 //!
 //! On top of these, the core memoizes backend idleness: an issue attempt
 //! that finds nothing to do is not repeated until a completion, rename,
@@ -43,7 +45,7 @@
 use crate::pctab::PcCountTable;
 use crate::uop::{Fetched, Tag, Uop, UopStamps};
 use sim_isa::DynInst;
-use sim_mem::EvictionSink;
+use sim_mem::{EvictionSink, MemConfig, MemoryHierarchy};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -262,7 +264,11 @@ impl CompletionQueue {
 /// [`crate::Core::into_scratch`]; a suite runner that keeps one
 /// `SimScratch` per worker thread eliminates per-run window allocation
 /// (the µop slab alone is ~hundreds of KiB) and lets consumer-list
-/// capacities reach a steady state across the whole suite.
+/// capacities reach a steady state across the whole suite. It also keeps
+/// the last run's [`MemoryHierarchy`] (~2 MB of L2/LLC tag and metadata
+/// arrays at the Table 2 geometry): the next run with an equal
+/// [`MemConfig`] resets it in time proportional to the cache slots the last
+/// run filled, and only the first run or a changed config builds one.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     pub(crate) window: Vec<Uop>,
@@ -286,6 +292,9 @@ pub struct SimScratch {
     /// Per-hardware-thread queue allocations (ROB, store/load rings, ready
     /// set, IDQ, fetched-ahead records), recycled across runs.
     pub(crate) threads: Vec<ThreadScratch>,
+    /// The last run's memory hierarchy, reset on reuse by
+    /// [`SimScratch::take_mem`]; `None` before the first run.
+    pub(crate) mem: Option<MemoryHierarchy>,
 }
 
 /// Reusable per-thread queue allocations: the structures every `Thread`
@@ -343,6 +352,22 @@ impl SimScratch {
         }
         self.threads
             .resize_with(self.threads.len().max(nthreads), ThreadScratch::default);
+    }
+
+    /// Hands out a memory hierarchy in its just-built state for `cfg`: the
+    /// banked one reset when it was built for an equal config, else a new
+    /// one (the banked hierarchy is dropped first, so two never coexist).
+    pub(crate) fn take_mem(&mut self, cfg: MemConfig) -> MemoryHierarchy {
+        match self.mem.take() {
+            Some(mut mem) if *mem.config() == cfg => {
+                mem.reset();
+                mem
+            }
+            stale => {
+                drop(stale);
+                MemoryHierarchy::new(cfg)
+            }
+        }
     }
 
     /// Hands out one cleared per-thread scratch (empty if none banked).

@@ -404,3 +404,39 @@ fn scratch_recycling_matches_goldens() {
     }
     assert!(checked >= 12, "recycling chain too short ({checked} rows)");
 }
+
+/// `SimScratch` recycling across an aborted run and memory-geometry
+/// changes: one scratch threaded through a watchdog-stopped wedged run,
+/// the default config (its hierarchy reset after the abort), a doubled L2
+/// (a fresh hierarchy) and the default config again (fresh once more).
+/// Every run must equal a fresh-scratch run of the same cell.
+#[test]
+fn scratch_recycling_survives_aborts_and_geometry_changes() {
+    let program = suite_subset(2)[0].build();
+    let mut wedged = CoreConfig::golden_cove_like();
+    wedged.wedge_after_retire = Some(2_000);
+    wedged.watchdog_no_retire = Some(10_000);
+    let mut big_l2 = CoreConfig::golden_cove_like();
+    big_l2.mem.l2_bytes *= 2;
+    let cells = [
+        ("wedged", wedged),
+        ("default after abort", CoreConfig::golden_cove_like()),
+        ("doubled L2", big_l2),
+        ("back to default", CoreConfig::golden_cove_like()),
+    ];
+    let mut scratch = sim_core::SimScratch::new();
+    for (name, cfg) in cells {
+        let fresh = Core::new(&program, cfg.clone()).run(N);
+        assert_eq!(fresh.watchdog.is_some(), name == "wedged", "{name}: abort");
+        let mut core = Core::new_multi_with_scratch(vec![&program], cfg, scratch);
+        let recycled = core.run(N);
+        scratch = core.into_scratch();
+        assert_eq!(recycled.stats_digest(), fresh.stats_digest(), "{name}");
+        assert_eq!(recycled.stats, fresh.stats, "{name}: CoreStats differ");
+        assert_eq!(
+            recycled.retired_per_thread, fresh.retired_per_thread,
+            "{name}"
+        );
+        assert_eq!(recycled.verify(), fresh.verify(), "{name}: verdicts differ");
+    }
+}

@@ -9,6 +9,12 @@
 //! dominate L1 traffic. None of this changes modelled behavior: the
 //! golden-trace test locks the exact per-access outcome sequence against
 //! the original array-of-structs implementation.
+//!
+//! A cache also remembers which slots it has filled since it was built or
+//! last reset, so [`Cache::reset`] restores the just-built state by
+//! rewriting only those slots: a short run fills a few thousand of the
+//! tens of thousands of L2/LLC slots, and recycling the arrays spares it
+//! rewriting all of them.
 
 use sim_stats::Counter;
 
@@ -144,6 +150,10 @@ pub struct Cache {
     dirty: BitSet,
     /// Filled by a prefetch and not yet demanded (for accuracy stats).
     prefetched: BitSet,
+    /// Slots filled since the last build or reset: the ones
+    /// [`Cache::reset`] must restore. Every slot mutation starts with a
+    /// fill, so an unmarked slot still holds its just-built state.
+    filled: BitSet,
     lru_clock: u64,
     /// MRU memo: the last line that hit or filled, and its slot index.
     /// Validated against `tags` on use, so staleness is harmless.
@@ -173,11 +183,49 @@ impl Cache {
             cold: vec![Cold::default(); slots],
             dirty: BitSet::new(slots),
             prefetched: BitSet::new(slots),
+            filled: BitSet::new(slots),
             lru_clock: 0,
             mru_line: INVALID_TAG,
             mru_idx: 0,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Restores the state [`Cache::new`] builds — tags, replacement and
+    /// fill metadata, dirty and prefetched bits, the LRU clock, the MRU
+    /// memo and the statistics — at a cost proportional to the slots
+    /// filled since the last build or reset (plus a scan of one bit per
+    /// slot).
+    pub fn reset(&mut self) {
+        for (w, word) in self.filled.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            if bits == 0 {
+                continue;
+            }
+            // Only filled slots ever carry a dirty or prefetched bit.
+            self.dirty.words[w] = 0;
+            self.prefetched.words[w] = 0;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                self.tags[i] = INVALID_TAG;
+                self.cold[i] = Cold::default();
+                bits &= bits - 1;
+            }
+        }
+        debug_assert!(
+            self.tags.iter().all(|&t| t == INVALID_TAG),
+            "{}: a slot was filled without being recorded",
+            self.name
+        );
+        self.lru_clock = 0;
+        self.mru_line = INVALID_TAG;
+        self.mru_idx = 0;
+        self.stats = CacheStats::default();
+    }
+
+    /// Address of the tag array (identifies the allocation across moves).
+    pub(crate) fn tag_buffer_addr(&self) -> usize {
+        self.tags.as_ptr() as usize
     }
 
     /// Cache name (for reports).
@@ -363,6 +411,7 @@ impl Cache {
             }
         }
         self.tags[idx] = line;
+        self.filled.set(idx, true);
         self.dirty.set(idx, false);
         self.prefetched.set(idx, prefetched);
         self.cold[idx] = Cold {
@@ -553,6 +602,36 @@ mod tests {
                     "step {step}: eviction counts diverged"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn reset_restores_the_just_built_state() {
+        // Demand hits and misses, stores, prefetch fills, invalidations and
+        // SRRIP aging over a few sets of a larger cache; after a reset the
+        // cache must equal a fresh one field for field (the derived `Debug`
+        // prints every field) and replay the same outcomes.
+        for policy in [Replacement::Lru, Replacement::Srrip] {
+            let script = |c: &mut Cache| {
+                let mut x = 99u64;
+                let mut out = Vec::new();
+                for step in 0..300u64 {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let line = (x >> 33) % 40 * 8;
+                    out.push(format!("{:?}", c.access(line, step, x & 1 == 0)));
+                    out.push(format!("{:?}", c.insert(line, step, step + 5, x & 2 == 0)));
+                    if x.is_multiple_of(7) {
+                        out.push(format!("{:?}", c.invalidate(line)));
+                    }
+                }
+                out
+            };
+            let mut c = Cache::new("t", 64 * 64, 4, policy);
+            let first = script(&mut c);
+            c.reset();
+            let fresh = Cache::new("t", 64 * 64, 4, policy);
+            assert_eq!(format!("{c:?}"), format!("{fresh:?}"), "{policy:?}");
+            assert_eq!(script(&mut c), first, "{policy:?}: replay diverged");
         }
     }
 

@@ -158,6 +158,13 @@ impl Dram {
         &self.stats
     }
 
+    /// Closes every row, idles every bank and zeroes the statistics: the
+    /// state [`Dram::new`] builds.
+    pub fn reset(&mut self) {
+        self.banks.fill(Bank::default());
+        self.stats = DramStats::default();
+    }
+
     #[inline]
     fn map(&self, addr: u64) -> (usize, u64) {
         // Channel and rank/bank interleave on line and row bits respectively.

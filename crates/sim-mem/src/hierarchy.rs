@@ -6,6 +6,11 @@
 //! storage is an inline fixed-capacity buffer (recycled by the core's
 //! `SimScratch`). A disabled sink makes eviction tracking free for every
 //! configuration that does not consume it.
+//!
+//! A hierarchy is built once and recycled: [`MemoryHierarchy::reset`]
+//! returns it to the state [`MemoryHierarchy::new`] builds, touching only
+//! the cache slots the last run filled (the core's `SimScratch` recycles it
+//! between runs of the same [`MemConfig`]).
 
 use crate::cache::{line_addr, Cache, FillPlan, Replacement};
 use crate::dram::{Dram, DramConfig};
@@ -252,6 +257,33 @@ impl MemoryHierarchy {
             pf_scratch: Vec::new(),
             stats: HierarchyStats::default(),
         }
+    }
+
+    /// Returns every cache, the DRAM banks, the prefetchers and the
+    /// statistics to the state [`MemoryHierarchy::new`] builds for the same
+    /// config. Costs time in proportion to the cache slots filled since the
+    /// last build or reset, not to the cache sizes.
+    pub fn reset(&mut self) {
+        self.l1.reset();
+        self.l2.reset();
+        self.llc.reset();
+        self.dram.reset();
+        self.stride.reset();
+        self.stream.reset();
+        self.spp.reset();
+        self.pf_scratch.clear();
+        self.stats = HierarchyStats::default();
+    }
+
+    /// The configuration this hierarchy was built from.
+    pub fn config(&self) -> &MemConfig {
+        &self.cfg
+    }
+
+    /// Address of the L2 tag array: stable across moves of the hierarchy,
+    /// so a recycler can check that a reuse kept the same allocation.
+    pub fn tag_buffer_addr(&self) -> usize {
+        self.l2.tag_buffer_addr()
     }
 
     /// Aggregate statistics.

@@ -36,6 +36,11 @@ impl StridePrefetcher {
         }
     }
 
+    /// Forgets every trained entry.
+    pub fn reset(&mut self) {
+        self.entries.fill(StrideEntry::default());
+    }
+
     /// Trains on a demand access and returns any prefetches to issue.
     pub fn train(&mut self, pc: u64, addr: u64, out: &mut Vec<PrefetchReq>) {
         let idx = (pc as usize >> 2) & (self.entries.len() - 1);
@@ -97,6 +102,11 @@ impl StreamPrefetcher {
         }
     }
 
+    /// Forgets every tracked stream.
+    pub fn reset(&mut self) {
+        self.streams.fill(StreamEntry::default());
+    }
+
     /// Trains on a demand line address; appends prefetch requests.
     pub fn train(&mut self, line: u64, clock: u64, out: &mut Vec<PrefetchReq>) {
         let page = line >> 6; // 64 lines = 4 KiB page
@@ -156,13 +166,22 @@ pub struct SppLite {
 }
 
 impl SppLite {
+    const EMPTY_PATTERN: (u16, i8, u8) = (0, 0, 0);
+    const EMPTY_PAGE: (u64, u16, u8, u64) = (u64::MAX, 0, 0, 0);
+
     /// Creates the prefetcher with fixed table geometry (256-entry pattern
     /// table, 64 tracked pages).
     pub fn new() -> Self {
         SppLite {
-            pattern: vec![(0, 0, 0); 256],
-            pages: vec![(u64::MAX, 0, 0, 0); 64],
+            pattern: vec![Self::EMPTY_PATTERN; 256],
+            pages: vec![Self::EMPTY_PAGE; 64],
         }
+    }
+
+    /// Forgets every learned pattern and tracked page.
+    pub fn reset(&mut self) {
+        self.pattern.fill(Self::EMPTY_PATTERN);
+        self.pages.fill(Self::EMPTY_PAGE);
     }
 
     fn sig_update(sig: u16, delta: i8) -> u16 {

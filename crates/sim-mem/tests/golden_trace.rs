@@ -55,9 +55,8 @@ fn lcg(x: u64) -> u64 {
         .wrapping_add(1442695040888963407)
 }
 
-/// Replays the fixed script, returning every observation in order.
-fn run_script() -> (Vec<Obs>, MemoryHierarchy) {
-    let mut m = MemoryHierarchy::new(small_cfg());
+/// Replays the fixed script on `m`, returning every observation in order.
+fn run_script(m: &mut MemoryHierarchy) -> Vec<Obs> {
     let mut sink = EvictionSink::new(true);
     let mut out = Vec::with_capacity(N);
     let mut now = 0u64;
@@ -110,7 +109,7 @@ fn run_script() -> (Vec<Obs>, MemoryHierarchy) {
         // Advance time data-dependently so fill_wait/ready_at paths fire.
         now += latency / 2 + 1;
     }
-    (out, m)
+    out
 }
 
 /// Extracts the locked tuple from one access outcome and drains the sink.
@@ -240,10 +239,29 @@ fn collect_stats(m: &MemoryHierarchy) -> Vec<(&'static str, u64)> {
     out
 }
 
+/// Asserts one replay of the script against the committed constants.
+fn assert_golden(obs: &[Obs], m: &MemoryHierarchy, pass: &str) {
+    for (i, (got, want)) in obs.iter().zip(GOLDEN_HEAD).enumerate() {
+        assert_eq!(
+            got, want,
+            "{pass}: access {i} diverged from the golden trace"
+        );
+    }
+    for ((k, got), (wk, want)) in collect_stats(m).iter().zip(GOLDEN_STATS) {
+        assert_eq!(k, wk, "stat ordering changed");
+        assert_eq!(got, want, "{pass}: final counter {k} diverged");
+    }
+    assert_eq!(
+        digest_of(obs),
+        GOLDEN_DIGEST,
+        "{pass}: per-access (latency, level, evictions) sequence diverged"
+    );
+}
+
 #[test]
 fn memory_hierarchy_matches_golden_trace() {
-    let (obs, m) = run_script();
-    let stats = collect_stats(&m);
+    let mut m = MemoryHierarchy::new(small_cfg());
+    let obs = run_script(&mut m);
 
     if std::env::var_os("SIM_MEM_GOLDEN_PRINT").is_some() {
         println!("const GOLDEN_DIGEST: u64 = {:#018X};", digest_of(&obs));
@@ -253,23 +271,27 @@ fn memory_hierarchy_matches_golden_trace() {
         }
         println!("];");
         println!("const GOLDEN_STATS: &[(&str, u64)] = &[");
-        for (k, v) in &stats {
+        for (k, v) in &collect_stats(&m) {
             println!("    (\"{k}\", {v}),");
         }
         println!("];");
         return;
     }
+    assert_golden(&obs, &m, "fresh");
+}
 
-    for (i, (got, want)) in obs.iter().zip(GOLDEN_HEAD).enumerate() {
-        assert_eq!(got, want, "access {i} diverged from the golden trace");
-    }
-    for ((k, got), (wk, want)) in stats.iter().zip(GOLDEN_STATS) {
-        assert_eq!(k, wk, "stat ordering changed");
-        assert_eq!(got, want, "final counter {k} diverged");
-    }
-    assert_eq!(
-        digest_of(&obs),
-        GOLDEN_DIGEST,
-        "per-access (latency, level, evictions) sequence diverged"
-    );
+/// A reset hierarchy is indistinguishable from a fresh one: the script's
+/// second pass on the same (reset) hierarchy reproduces the goldens. The
+/// script's stores, prefetch fills, snoop invalidations and SRRIP LLC
+/// leave dirty and prefetched bits and replacement metadata behind for the
+/// reset to clear.
+#[test]
+fn reset_hierarchy_replays_the_golden_trace() {
+    let mut m = MemoryHierarchy::new(small_cfg());
+    let first = run_script(&mut m);
+    assert_golden(&first, &m, "first pass");
+    m.reset();
+    let second = run_script(&mut m);
+    assert_golden(&second, &m, "after reset");
+    assert_eq!(first, second, "reset changed the per-access trace");
 }
